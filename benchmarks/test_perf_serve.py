@@ -8,9 +8,8 @@ than a naive sequential ``answer_query`` loop, while returning the same
 numbers for every request.
 
 The speedup comes from work elimination, not parallelism tricks:
-identical requests share one pipeline execution and distinct same-slot
-requests share one batched GSP call, so the service executes ~1/D of
-the sequential pipeline runs (D = duplication factor).
+identical requests share one pipeline execution, so the service
+executes ~1/D of the sequential pipeline runs (D = duplication factor).
 
 Runs in two modes:
 

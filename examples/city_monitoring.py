@@ -46,7 +46,9 @@ for slot in slots:
     )
     truth = repro.truth_oracle_for(data.test_history, DAY, slot)
     result = system.answer_query(
-        data.queried, slot, budget=BUDGET_PER_SLOT, market=market, truth=truth
+        repro.EstimationRequest(queried=data.queried, slot=slot, budget=BUDGET_PER_SLOT),
+        market=market,
+        truth=truth,
     )
     truths = np.array([truth(q) for q in data.queried])
     gsp_mape = repro.mean_absolute_percentage_error(result.estimates_kmh, truths)

@@ -45,7 +45,9 @@ market = repro.CrowdMarket(network, pool, costs, rng=np.random.default_rng(47))
 truth = repro.truth_oracle_for(test, day=0, slot=slot)
 
 result = system.answer_query(
-    queried, slot, budget=25, market=market, truth=truth
+    repro.EstimationRequest(queried=queried, slot=slot, budget=25),
+    market=market,
+    truth=truth,
 )
 
 print(f"incident on r{INCIDENT_ROAD}: true speed "

@@ -79,11 +79,9 @@ for day in range(data.test_history.n_days):
 
     # End of day: absorb today's observations into the model.
     refreshed = updater.update(all_truths)
-    table = repro.CorrelationTable.precompute(
-        repro.RTFModel(data.network, [refreshed])
-    )
     system = repro.CrowdRTSE(
-        data.network, repro.RTFModel(data.network, [refreshed]), table
+        data.network,
+        store=repro.ModelStore(repro.RTFModel(data.network, [refreshed])),
     )
 
 print("\nmodel refreshed after each day; final sigma mean "

@@ -2,12 +2,11 @@
 
 The package defines the runtime :class:`EstimatorBackend` protocol
 (``fit → refresh → estimate``), a process-wide registry mapping names to
-backend factories, and the built-in backends:
+backend factories, and the built-in challenger backends:
 
 ========  =====================================================
 name      estimator
 ========  =====================================================
-rtf_gsp   The paper's RTF model + GSP propagation (default).
 per       Periodic historical-mean baseline (offline shim).
 lasso     LASSO regression baseline (offline shim).
 grmc      Graph-regularized matrix completion (offline shim).
@@ -15,11 +14,15 @@ lsmrn     LSM-RN-style latent-space model (arXiv:1602.04301).
 gmrf      GMRF field reconstruction (arXiv:1306.6482).
 ========  =====================================================
 
+The paper's own estimator is not a backend: ``"rtf_gsp"`` (the
+default ``EstimationRequest.backend``) names the pipeline's RTF + GSP
+path, so the name is reserved and never registered.
+
 Importing this package registers the built-ins; custom backends join
 with :func:`register_backend`.  Snapshot state blobs travel through the
 :class:`~repro.core.store.ModelStore` next to the RTF slots (see
-``CrowdRTSE.attach_backend``), and the serving layer selects a backend
-per request via ``ServeRequest.backend``.
+``CrowdRTSE.attach_backend``), and a request selects a backend via
+``EstimationRequest.backend``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from repro.backends.registry import (
     register_backend,
     unregister_backend,
 )
-from repro.backends.rtf_gsp import RTFGSPBackend, RTFGSPState
 from repro.network.graph import TrafficNetwork
 
 
@@ -76,7 +78,6 @@ def _make_grmc(network: TrafficNetwork) -> OfflineBackend:
 def _register_builtins() -> None:
     # replace=True keeps re-imports (and importlib.reload in tests)
     # idempotent instead of raising duplicate-name errors.
-    register_backend("rtf_gsp", RTFGSPBackend, replace=True)
     register_backend("per", _make_per, replace=True)
     register_backend("lasso", _make_lasso, replace=True)
     register_backend("grmc", _make_grmc, replace=True)
@@ -98,8 +99,6 @@ __all__ = [
     "LSMRNState",
     "OfflineBackend",
     "OfflineState",
-    "RTFGSPBackend",
-    "RTFGSPState",
     "arrays_digest",
     "available_backends",
     "create_backend",

@@ -7,9 +7,11 @@ that the instance answers to the name it was registered under (metric
 labels, coalescing keys, and snapshot state blobs are all keyed by that
 name, so a mismatch would silently cross wires).
 
-The built-in backends (``rtf_gsp``, ``per``, ``lasso``, ``grmc``,
-``lsmrn``, ``gmrf``) are registered when :mod:`repro.backends` is
-imported; library users add their own with :func:`register_backend`.
+The built-in backends (``per``, ``lasso``, ``grmc``, ``lsmrn``,
+``gmrf``) are registered when :mod:`repro.backends` is imported;
+library users add their own with :func:`register_backend`.  The name
+:data:`DEFAULT_BACKEND` is reserved for the pipeline's own RTF + GSP
+path and cannot be registered.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from repro.network.graph import TrafficNetwork
 #: Factory signature: bind the backend's stateless math to one network.
 BackendFactory = Callable[[TrafficNetwork], EstimatorBackend]
 
-#: The paper's estimator; the serving default and the frozen-v1 path.
+#: The paper's estimator: the pipeline's own RTF + GSP path, which every
+#: request takes unless it names a registered backend.
 DEFAULT_BACKEND = "rtf_gsp"
 
 _NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
@@ -50,6 +53,10 @@ def register_backend(
         raise BackendError(
             f"invalid backend name {name!r}: expected a lowercase "
             "identifier matching [a-z][a-z0-9_]*"
+        )
+    if name == DEFAULT_BACKEND:
+        raise BackendError(
+            f"{DEFAULT_BACKEND!r} is reserved for the pipeline's own RTF + GSP path"
         )
     if not callable(factory):
         raise BackendError(f"backend factory for {name!r} is not callable")

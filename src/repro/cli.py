@@ -414,6 +414,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         rng=np.random.default_rng(args.seed),
     )
 
+    deadline_s = args.deadline_ms / 1e3 if args.deadline_ms is not None else None
     if args.requests:
         items = serving.load_workload(args.requests)
         trace_slots = {item.slot for item in items}
@@ -431,7 +432,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             budget=args.budget,
             queried_size=min(8, len(data.queried)),
             duplication=args.duplication,
-            deadline_ms=args.deadline_ms,
+            deadline_s=deadline_s,
             seed=args.seed,
         )
 
@@ -465,9 +466,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         num_workers=args.workers,
         max_queue_depth=args.queue_depth,
         coalesce_window_s=args.coalesce_window_ms / 1e3,
-        default_deadline_s=(
-            args.deadline_ms / 1e3 if args.deadline_ms is not None else None
-        ),
+        default_deadline_s=deadline_s,
         shadow_backend=args.shadow,
     )
     print(

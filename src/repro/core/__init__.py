@@ -76,7 +76,7 @@ from repro.core.snapshot_io import (
     verify_digests,
     write_snapshot,
 )
-from repro.core.request import EstimationRequest, as_request
+from repro.core.request import EstimationRequest
 from repro.core.pipeline import CrowdRTSE, QueryResult
 
 __all__ = [
@@ -137,7 +137,6 @@ __all__ = [
     "verify_digests",
     "write_snapshot",
     "EstimationRequest",
-    "as_request",
     "BatchResult",
     "answer_batch",
     "sequential_baseline",

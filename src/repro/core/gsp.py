@@ -52,7 +52,6 @@ from repro.errors import (
     ConvergenceError,
     ConvergenceWarning,
     ModelError,
-    warn_deprecated_once,
 )
 from repro.core.rtf import RTFSlot, params_signature
 from repro.network.graph import TrafficNetwork
@@ -303,36 +302,6 @@ class GSPResult:
     schedule: GSPSchedule = GSPSchedule.BFS
     kernel: GSPKernel = GSPKernel.REFERENCE
     provenance: GSPProvenance = field(default_factory=GSPProvenance)
-
-    @property
-    def structure_cache_hit(self) -> bool:
-        """Deprecated alias for ``provenance.structure_cache_hit``.
-
-        Warns once per process (see the deprecation policy in
-        docs/API.md); scheduled for removal in v2.0.
-        """
-        warn_deprecated_once(
-            "gsp.result.structure_cache_hit",
-            "GSPResult.structure_cache_hit is deprecated and will be removed "
-            "in v2.0; read result.provenance.structure_cache_hit (or the "
-            "gsp.cache.lookups metric) instead",
-        )
-        return self.provenance.structure_cache_hit
-
-    @property
-    def schedule_cache_hit(self) -> bool:
-        """Deprecated alias for ``provenance.schedule_cache_hit``.
-
-        Warns once per process (see the deprecation policy in
-        docs/API.md); scheduled for removal in v2.0.
-        """
-        warn_deprecated_once(
-            "gsp.result.schedule_cache_hit",
-            "GSPResult.schedule_cache_hit is deprecated and will be removed "
-            "in v2.0; read result.provenance.schedule_cache_hit (or the "
-            "gsp.cache.lookups metric) instead",
-        )
-        return self.provenance.schedule_cache_hit
 
 
 # ----------------------------------------------------------------------
@@ -860,8 +829,6 @@ class GSPEngine:
         self,
         items: Sequence[Tuple[RTFSlot, Mapping[int, float]]],
         config: Optional[GSPConfig] = None,
-        *,
-        initial_fields: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> List[GSPResult]:
         """Answer several time slots in one call.
 
@@ -873,23 +840,11 @@ class GSPEngine:
         Args:
             items: Per-slot propagation inputs.
             config: Solver knobs applied to every item.
-            initial_fields: Optional per-item warm-start seeds, aligned
-                with ``items`` (``None`` entries cold-start from μ).
 
         Returns:
             One :class:`GSPResult` per item, in input order.
         """
-        if initial_fields is not None and len(initial_fields) != len(items):
-            raise ModelError(
-                f"initial_fields length {len(initial_fields)} does not match "
-                f"{len(items)} items"
-            )
-        seeds: Sequence[Optional[np.ndarray]]
-        seeds = initial_fields if initial_fields is not None else [None] * len(items)
-        return [
-            self.propagate(params, observed, config, initial_field=seed)
-            for (params, observed), seed in zip(items, seeds)
-        ]
+        return [self.propagate(params, observed, config) for params, observed in items]
 
 
 # ----------------------------------------------------------------------

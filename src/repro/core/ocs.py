@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from repro.obs import DEFAULT_SIZE_BUCKETS, DEFAULT_TIME_BUCKETS, get_metrics
 #: Hard cap for :func:`brute_force_ocs`; beyond this the search space
 #: (2^n subsets) is unreasonable.
 BRUTE_FORCE_LIMIT = 22
-
 
 @dataclass(frozen=True)
 class OCSInstance:
@@ -471,3 +470,12 @@ def trivial_solution(instance: OCSInstance) -> Optional[OCSResult]:
     )
     _flush_solver_metrics(result, instance)
     return result
+
+
+#: Named greedy OCS solvers a query may pick; ``"random"`` (the "Rand"
+#: baseline) is the only other selector, as it also takes an RNG.
+SELECTORS: Mapping[str, Callable[[OCSInstance], OCSResult]] = {
+    "hybrid": hybrid_greedy,
+    "ratio": ratio_greedy,
+    "objective": objective_greedy,
+}

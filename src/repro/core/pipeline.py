@@ -13,26 +13,25 @@ a single answer.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
+    ContextManager,
     Dict,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
 from repro.errors import (
+    BackendError,
     ModelError,
     QueryTimeoutError,
     SelectionError,
-    warn_deprecated_once,
     wrap_internal,
 )
 from repro.obs import DEFAULT_TIME_BUCKETS, get_metrics, get_tracer
@@ -41,12 +40,10 @@ from repro.core.gsp import GSPConfig, GSPEngine, GSPResult, PrecisionPolicy
 from repro.core.request import EstimationRequest
 from repro.core.inference import InferenceDiagnostics, RTFInferenceConfig, fit_rtf
 from repro.core.ocs import (
+    SELECTORS,
     OCSInstance,
     OCSResult,
-    hybrid_greedy,
-    objective_greedy,
     random_selection,
-    ratio_greedy,
     trivial_solution,
 )
 from repro.core.rtf import RTFModel
@@ -57,14 +54,6 @@ from repro.traffic.history import SpeedHistory
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard (typing only)
     from repro.backends.base import BackendEstimate, EstimatorBackend
-
-#: Named OCS solvers accepted by :meth:`CrowdRTSE.answer_query`.
-SELECTORS: Mapping[str, Callable[[OCSInstance], OCSResult]] = {
-    "hybrid": hybrid_greedy,
-    "ratio": ratio_greedy,
-    "objective": objective_greedy,
-}
-
 
 @dataclass(frozen=True)
 class Deadline:
@@ -146,25 +135,6 @@ class QueryResult:
         return float(self.estimates_kmh[pos])
 
 
-@dataclass(frozen=True)
-class PreparedQuery:
-    """A query after OCS + probing, before GSP propagation.
-
-    Intermediate product of :meth:`CrowdRTSE._select_and_probe`; the
-    serving layer collects several of these off one pinned snapshot and
-    propagates them in a single :meth:`GSPEngine.propagate_batch` call.
-    """
-
-    queried: Tuple[int, ...]
-    slot: int
-    selector: str
-    selection: OCSResult
-    probes: Dict[int, float]
-    receipts: Tuple[ProbeReceipt, ...]
-    ledger: BudgetLedger
-    snapshot: ModelSnapshot
-
-
 class CrowdRTSE:
     """End-to-end CrowdRTSE system (paper Fig. 1).
 
@@ -174,43 +144,12 @@ class CrowdRTSE:
     The engine itself is stateless between queries: all model state
     lives in the store's immutable snapshots, and each query pins one
     snapshot for its whole OCS → probe → GSP span.
-
-    The legacy ``CrowdRTSE(network, model, correlations)`` form is still
-    accepted: the model becomes version 1 of an internal store and the
-    eager table seeds the correlation cache.  When the table's recorded
-    parameter digests do not match the model (a stale Γ_R generation),
-    construction emits a :class:`DeprecationWarning` and
-    :meth:`answer_query` raises :class:`ModelError` for the mismatched
-    slots instead of silently serving stale correlations.
     """
 
-    def __init__(
-        self,
-        network: TrafficNetwork,
-        model: Optional[RTFModel] = None,
-        correlations: Optional[CorrelationTable] = None,
-        *,
-        store: Optional[ModelStore] = None,
-    ) -> None:
-        if store is not None:
-            if model is not None or correlations is not None:
-                raise ModelError(
-                    "pass either a store or a model/correlations pair, not both"
-                )
-            if store.network is not network and store.network != network:
-                raise ModelError("store belongs to a different network")
-            self._store = store
-            self._stale_slots: Set[int] = set()
-        else:
-            if model is None:
-                raise ModelError("CrowdRTSE needs a model or a store")
-            if model.network is not network and model.network != network:
-                raise ModelError("model was fitted on a different network")
-            mode = (
-                correlations.mode if correlations is not None else PathWeightMode.LOG
-            )
-            self._store = ModelStore(model, path_mode=mode)
-            self._stale_slots = self._adopt_table(network, correlations)
+    def __init__(self, network: TrafficNetwork, *, store: ModelStore) -> None:
+        if store.network is not network and store.network != network:
+            raise ModelError("store belongs to a different network")
+        self._store = store
         self._network = network
         self._fit_diagnostics: Optional[Dict[int, InferenceDiagnostics]] = None
         # One engine per system: repeated queries share the cached CSR
@@ -218,45 +157,6 @@ class CrowdRTSE:
         # structure cache is keyed by parameter digest, so a refresh
         # invalidates exactly the touched slots' compilations.
         self._gsp_engine = GSPEngine(network)
-
-    def _adopt_table(
-        self,
-        network: TrafficNetwork,
-        correlations: Optional[CorrelationTable],
-    ) -> Set[int]:
-        """Seed the store's Γ_R cache from an eager table; flag stale slots."""
-        if correlations is None:
-            return set()
-        if correlations.network is not network and correlations.network != network:
-            raise ModelError("correlation table belongs to a different network")
-        snapshot = self._store.current()
-        stale: Set[int] = set()
-        for slot in correlations.slots:
-            if slot not in snapshot:
-                continue
-            table_digest = correlations.digest(slot)
-            model_digest = snapshot.digest(slot)
-            if table_digest is not None and table_digest != model_digest:
-                stale.add(slot)
-                continue
-            # Digest matches (or the table predates digests and is
-            # trusted, as before): adopt the eager matrix so nothing is
-            # re-derived.
-            self._store.seed_correlation(model_digest, correlations.matrix(slot))
-        if stale:
-            # Once per process, like every deprecated surface (policy in
-            # docs/API.md): a replay constructing hundreds of stale
-            # systems should complain once, not per construction.
-            warn_deprecated_once(
-                "pipeline.legacy_model_table",
-                f"correlation table is stale for slots {sorted(stale)} (derived "
-                f"from a different parameter generation); constructing CrowdRTSE "
-                f"from a mismatched model/table pair is deprecated and will be "
-                f"rejected in v2.0 — refresh the slots through the ModelStore "
-                f"instead.  answer_query will raise ModelError for these slots.",
-                stacklevel=4,
-            )
-        return stale
 
     @classmethod
     def fit(
@@ -346,11 +246,7 @@ class CrowdRTSE:
         Returns:
             The freshly published snapshot.
         """
-        snapshot = self._store.refresh(day_samples, learning_rate)
-        # A refreshed slot's parameters now own their (lazily derived)
-        # correlations again, clearing any stale-table deprecation trap.
-        self._stale_slots -= set(day_samples)
-        return snapshot
+        return self._store.refresh(day_samples, learning_rate)
 
     # ------------------------------------------------------------------
     # Estimator backends
@@ -365,7 +261,7 @@ class CrowdRTSE:
     ) -> ModelSnapshot:
         """Fit (or adopt) an estimator backend and attach it to the store.
 
-        After attaching, :meth:`answer_query` accepts ``backend=name``,
+        After attaching, requests with ``backend=name`` estimate with it,
         :meth:`refresh` advances the backend's state blob alongside the
         RTF slots, and the serving layer can select (or shadow-score)
         the backend per request.
@@ -382,11 +278,21 @@ class CrowdRTSE:
         Returns:
             The freshly published :class:`ModelSnapshot` carrying the
             backend state.
+
+        Raises:
+            BackendError: For ``"rtf_gsp"`` — that name is the pipeline's
+                own RTF + GSP path, not an attachable backend — and for
+                names the registry does not know.
         """
         # Imported lazily: repro.backends imports core modules for its
         # adapters, so a module-level import here would be circular.
-        from repro.backends.registry import create_backend
+        from repro.backends.registry import DEFAULT_BACKEND, create_backend
 
+        if name == DEFAULT_BACKEND:
+            raise BackendError(
+                f"{DEFAULT_BACKEND!r} is the pipeline's own RTF + GSP path "
+                "and cannot be attached as a backend"
+            )
         if backend is None:
             backend = create_backend(name, self._network)
         if state is None:
@@ -408,9 +314,9 @@ class CrowdRTSE:
     ) -> "BackendEstimate":
         """Run one attached backend's estimator on already-gathered probes.
 
-        The backend-path analogue of the GSP stage: the serving layer's
-        batched path and shadow mode call it directly with the probes a
-        prepared query collected.
+        The backend-path analogue of the GSP stage: :meth:`answer_query`
+        calls it for requests naming a backend, and the serving layer's
+        shadow mode re-estimates a served answer's probes with it.
 
         Args:
             name: Attached backend name.
@@ -433,15 +339,6 @@ class CrowdRTSE:
     # Online stage
     # ------------------------------------------------------------------
 
-    def _check_not_stale(self, slot: int) -> None:
-        """Refuse to serve a slot whose adopted Γ_R generation is stale."""
-        if slot in self._stale_slots:
-            raise ModelError(
-                f"slot {slot}: correlation table was derived from a different "
-                f"parameter generation (digest mismatch); rebuild the table or "
-                f"refresh the slot instead of serving stale correlations"
-            )
-
     def build_ocs_instance(
         self,
         queried: Sequence[int],
@@ -460,7 +357,6 @@ class CrowdRTSE:
             snapshot: Pinned model version to read from (defaults to the
                 store's current snapshot).
         """
-        self._check_not_stale(slot)
         snap = snapshot if snapshot is not None else self._store.current()
         candidates = market.candidate_roads()
         if not candidates:
@@ -478,160 +374,81 @@ class CrowdRTSE:
 
     def _select_and_probe(
         self,
-        queried: Sequence[int],
-        slot: int,
-        budget: float,
-        market: CrowdMarket,
-        truth: TruthOracle,
-        theta: float,
-        selector: str,
-        rng: Optional[np.random.Generator],
-        use_trivial_fast_path: bool,
+        request: EstimationRequest,
         snapshot: ModelSnapshot,
-        deadline: Optional[Deadline] = None,
-    ) -> "PreparedQuery":
+        deadline: Optional[Deadline],
+    ) -> Tuple[OCSResult, Dict[int, float], Tuple[ProbeReceipt, ...], BudgetLedger]:
         """OCS selection + crowd probing against one pinned snapshot.
 
-        The first two stages of the Fig. 1 online loop, shared by
-        :meth:`answer_query` and the serving layer's coalesced batch
-        path (which runs this per request and then batches the GSP
-        stage).  Deadlines are checked at each stage boundary; stray
-        internal exceptions are wrapped per the docs/API.md exception
-        contract.
+        The first two stages of the Fig. 1 online loop.  Remark 2's
+        closed-form optima (θ = 1, unit costs, over-adequate budget or
+        few queried roads) replace the greedy whenever they apply.
+        Deadlines are checked at each stage boundary; stray internal
+        exceptions are wrapped per the docs/API.md exception contract.
         """
-        tracer = get_tracer()
+        assert request.market is not None and request.truth is not None
+        selector = request.selector
         if deadline is not None:
             deadline.check("ocs")
         with wrap_internal("ocs"):
             instance = self.build_ocs_instance(
-                queried, slot, budget, market, theta, snapshot=snapshot
+                request.queried, request.slot, request.budget, request.market,
+                request.theta, snapshot=snapshot,
             )
-            with tracer.span("ocs.select", selector=selector) as select_span:
-                selection: Optional[OCSResult] = None
-                if use_trivial_fast_path and selector != "random":
-                    selection = trivial_solution(instance)
-                if selection is None:
-                    if selector == "random":
-                        selection = random_selection(instance, rng)
-                    else:
-                        try:
-                            solve = SELECTORS[selector]
-                        except KeyError:
-                            raise SelectionError(
-                                f"unknown selector {selector!r}; choose from "
-                                f"{sorted(SELECTORS) + ['random']}"
-                            ) from None
-                        selection = solve(instance)
+            with get_tracer().span("ocs.select", selector=selector) as select_span:
+                if selector == "random":
+                    selection = random_selection(instance, request.rng)
+                else:
+                    # Both names are looked up here at call time, so a
+                    # wrapper installed on the module is what runs.
+                    trivial = trivial_solution(instance)
+                    selection = (
+                        trivial if trivial is not None
+                        else SELECTORS[selector](instance)
+                    )
                 select_span.set_attr("algorithm", selection.algorithm)
                 select_span.set_attr("selected", len(selection.selected))
 
         if deadline is not None:
             deadline.check("probe")
-        ledger = BudgetLedger(budget)
+        ledger = BudgetLedger(request.budget)
         with wrap_internal("probe"):
-            probes, receipts = market.probe(selection.selected, truth, ledger)
-        return PreparedQuery(
-            queried=tuple(int(q) for q in queried),
-            slot=int(slot),
-            selector=selector,
-            selection=selection,
-            probes=probes,
-            receipts=tuple(receipts),
-            ledger=ledger,
-            snapshot=snapshot,
-        )
-
-    @staticmethod
-    def _assemble_result(
-        prepared: "PreparedQuery", gsp_result: GSPResult
-    ) -> QueryResult:
-        """Slice the propagated field into the final :class:`QueryResult`."""
-        estimates = gsp_result.speeds[
-            np.asarray(prepared.queried, dtype=int)
-        ]
-        return QueryResult(
-            queried=prepared.queried,
-            estimates_kmh=estimates,
-            full_field_kmh=gsp_result.speeds,
-            selection=prepared.selection,
-            probes=prepared.probes,
-            receipts=prepared.receipts,
-            gsp=gsp_result,
-            budget_spent=prepared.ledger.spent,
-            model_version=prepared.snapshot.version,
-        )
-
-    @staticmethod
-    def _assemble_backend_result(
-        prepared: "PreparedQuery", field_kmh: np.ndarray, backend: str
-    ) -> QueryResult:
-        """Assemble a :class:`QueryResult` from a backend's field."""
-        estimates = field_kmh[np.asarray(prepared.queried, dtype=int)]
-        return QueryResult(
-            queried=prepared.queried,
-            estimates_kmh=estimates,
-            full_field_kmh=field_kmh,
-            selection=prepared.selection,
-            probes=prepared.probes,
-            receipts=prepared.receipts,
-            gsp=None,
-            budget_spent=prepared.ledger.spent,
-            model_version=prepared.snapshot.version,
-            backend=backend,
-        )
+            probes, receipts = request.market.probe(
+                selection.selected, request.truth, ledger
+            )
+        return selection, probes, tuple(receipts), ledger
 
     def answer_query(
         self,
-        request: Union[EstimationRequest, Sequence[int]],
-        slot: Optional[int] = None,
-        budget: Optional[float] = None,
+        request: EstimationRequest,
         market: Optional[CrowdMarket] = None,
         truth: Optional[TruthOracle] = None,
-        theta: float = 0.92,
-        selector: str = "hybrid",
         gsp_config: Optional[GSPConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        use_trivial_fast_path: bool = True,
         snapshot: Optional[ModelSnapshot] = None,
         deadline: Optional[Deadline] = None,
-        backend: Optional[str] = None,
+        probe_lock: Optional[ContextManager[object]] = None,
     ) -> QueryResult:
         """Online stage: OCS → crowd probe → estimate → answer (Fig. 1).
 
-        The canonical spelling takes one
-        :class:`~repro.core.request.EstimationRequest`::
+        Every query takes this one path, whether called directly or by
+        the serving layer.  ``request.backend`` picks the estimator:
+        ``"rtf_gsp"`` (default) propagates the probes with GSP; any
+        other name runs that attached backend instead::
 
             system.answer_query(
                 EstimationRequest(queried=(3, 7), slot=93, budget=20.0),
                 market=market, truth=truth,
             )
 
-        The legacy spelling — queried roads first, every knob as its own
-        argument — still works but warns ``DeprecationWarning`` once per
-        process (removal horizon v2.0; see docs/API.md) and keeps its
-        pre-v2 numerics: it constructs a request with
-        ``warm_start=False`` so answers stay bit-identical.
-
         Args:
-            request: The query (an :class:`EstimationRequest`), or the
-                queried road indices ``R^q`` (deprecated spelling).
-            slot: Global time slot (legacy spelling only; an
-                :class:`EstimationRequest` carries its own).
-            budget: Crowdsourcing budget ``K`` (legacy spelling only).
+            request: The query.
             market: The crowd marketplace; fills a request whose
                 ``market`` is unset.
             truth: Ground-truth oracle the (simulated) workers measure;
                 fills a request whose ``truth`` is unset.
-            theta: Redundancy threshold θ (legacy spelling only).
-            selector: OCS solver (legacy spelling only).
             gsp_config: Propagation knobs; the request's ``precision``
                 is applied on top via
                 :meth:`~repro.core.gsp.GSPConfig.with_precision`.
-            rng: RNG for the random selector (a request's own ``rng``
-                wins).
-            use_trivial_fast_path: Apply Remark 2's closed-form optima
-                when they apply (θ = 1, unit costs, over-adequate budget
-                or few queried roads) instead of running the greedy.
             snapshot: Pre-pinned model version to serve from.  The
                 serving layer pins one snapshot per worker batch and
                 passes it here; direct callers leave it ``None`` and the
@@ -641,8 +458,9 @@ class CrowdRTSE:
                 (:class:`~repro.errors.QueryTimeoutError` on expiry).
                 When ``None``, a request's ``deadline_s`` starts its
                 budget here.
-            backend: Estimator backend override (legacy spelling;
-                requests carry their own ``backend`` field).
+            probe_lock: Held over OCS + probing only, never over the
+                estimator, so a market shared between threads is driven
+                by one query at a time while GSP runs concurrently.
 
         Returns:
             A :class:`QueryResult`.
@@ -653,58 +471,26 @@ class CrowdRTSE:
                 ``ValueError``/``KeyError`` surface as
                 :class:`~repro.errors.InternalError`.
         """
-        if isinstance(request, EstimationRequest):
-            if slot is not None or budget is not None:
-                raise ModelError(
-                    "pass either an EstimationRequest or the legacy "
-                    "(queried, slot, budget, ...) arguments, not both"
-                )
-            req = request.bound(market, truth)
-            if backend is not None:
-                from dataclasses import replace
-
-                req = replace(req, backend=backend)
-        else:
-            warn_deprecated_once(
-                "pipeline.answer_query_kwargs",
-                "answer_query(queried, slot, budget, ...) with loose "
-                "arguments is deprecated and will be removed in v2.0; "
-                "pass a repro.EstimationRequest instead (the legacy "
-                "spelling keeps warm_start off for bit-stable answers)",
+        if not isinstance(request, EstimationRequest):
+            raise ModelError(
+                "answer_query takes an EstimationRequest; the loose "
+                "(queried, slot, budget, ...) spelling was removed in v2.0"
             )
-            if slot is None or budget is None:
-                raise ModelError(
-                    "the legacy answer_query spelling needs queried, slot "
-                    "and budget"
-                )
-            req = EstimationRequest(
-                queried=tuple(int(q) for q in request),
-                slot=int(slot),
-                budget=float(budget),
-                theta=theta,
-                selector=selector,
-                market=market,
-                truth=truth,
-                rng=rng,
-                backend=backend if backend is not None else "rtf_gsp",
-                warm_start=False,
-            )
+        req = request.bound(market, truth)
         if req.market is None or req.truth is None:
             raise ModelError(
                 "answer_query needs a market and a truth oracle (on the "
                 "request or as arguments)"
             )
-        effective_rng = req.rng if req.rng is not None else rng
         if deadline is None and req.deadline_s is not None:
             deadline = Deadline.after(req.deadline_s)
 
-        tracer = get_tracer()
         start = time.perf_counter()
         # Pin ONE model version for the whole query: a refresh published
         # while this query is in flight must not mix generations between
         # the OCS correlations and the GSP parameters.
         snap = snapshot if snapshot is not None else self._store.current()
-        with tracer.span(
+        with get_tracer().span(
             "pipeline.answer_query",
             slot=req.slot,
             budget=req.budget,
@@ -712,37 +498,46 @@ class CrowdRTSE:
             selector=req.selector,
             model_version=snap.version,
         ) as query_span:
-            prepared = self._select_and_probe(
-                req.queried, req.slot, req.budget, req.market, req.truth,
-                req.theta, req.selector, effective_rng,
-                use_trivial_fast_path, snap, deadline,
-            )
-            if req.backend != "rtf_gsp":
+            with probe_lock if probe_lock is not None else nullcontext():
+                # The transitive wait is the artifact cache's single-flight
+                # Event (Γ_R derivation): bounded by one derivation on a
+                # thread that never takes the probe lock, and a caller
+                # passing probe_lock opts into exactly this hold.
+                selection, probes, receipts, ledger = self._select_and_probe(  # repro: noqa[RA012]
+                    req, snap, deadline
+                )
+            gsp_result: Optional[GSPResult] = None
+            if req.backend == "rtf_gsp":
+                if deadline is not None:
+                    deadline.check("gsp")
+                gsp_result = self._propagate(req, probes, snap, gsp_config)
+                field = gsp_result.speeds
+                query_span.set_attr("gsp_sweeps", gsp_result.sweeps)
+            else:
                 # Pluggable-estimator path: the attached backend turns
                 # the probes into the field; GSP never runs.
-                estimate = self.estimate_with_backend(
-                    req.backend, prepared.probes, req.slot,
-                    snapshot=snap, deadline=deadline,
-                )
-                query_span.set_attr("budget_spent", prepared.ledger.spent)
+                field = self.estimate_with_backend(
+                    req.backend, probes, req.slot, snapshot=snap, deadline=deadline
+                ).speeds
                 query_span.set_attr("backend", req.backend)
-                self._record_query_metrics(
-                    req.selector, prepared.ledger, time.perf_counter() - start
-                )
-                return self._assemble_backend_result(
-                    prepared, estimate.speeds, req.backend
-                )
-            if deadline is not None:
-                deadline.check("gsp")
-            gsp_result = self._propagate_prepared(prepared, req, gsp_config)
-            query_span.set_attr("budget_spent", prepared.ledger.spent)
-            query_span.set_attr("gsp_sweeps", gsp_result.sweeps)
+            query_span.set_attr("budget_spent", ledger.spent)
         self._record_query_metrics(
-            req.selector, prepared.ledger, time.perf_counter() - start
+            req.selector, ledger, time.perf_counter() - start
         )
-        return self._assemble_result(prepared, gsp_result)
+        return QueryResult(
+            queried=req.queried,
+            estimates_kmh=field[np.asarray(req.queried, dtype=int)],
+            full_field_kmh=field,
+            selection=selection,
+            probes=probes,
+            receipts=receipts,
+            gsp=gsp_result,
+            budget_spent=ledger.spent,
+            model_version=snap.version,
+            backend=req.backend,
+        )
 
-    # -- GSP stage helpers (shared with the serving layer's batch path) --
+    # -- GSP stage ------------------------------------------------------
 
     @staticmethod
     def resolve_gsp_config(
@@ -761,66 +556,39 @@ class CrowdRTSE:
         base = gsp_config if gsp_config is not None else GSPConfig()
         return base.with_precision(policy)
 
-    def _warm_seed(
+    def _propagate(
         self,
+        request: EstimationRequest,
+        probes: Dict[int, float],
         snapshot: ModelSnapshot,
-        slot: int,
-        observed_key: frozenset,
-        enabled: bool,
-    ) -> Tuple[Optional[np.ndarray], str]:
-        """Fetch a warm-start seed and publish the outcome counter.
+        gsp_config: Optional[GSPConfig],
+    ) -> GSPResult:
+        """The GSP stage of one query, warm start managed.
 
-        Outcomes mirror the ``gsp.warm_start`` metric: ``used`` (seed
-        found for this exact digest + R^c), ``miss`` (nothing cached),
-        ``mismatch`` (cached under a different R^c), ``disabled``
-        (request opted out).
+        The ``gsp.warm_start`` counter records the seed lookup: ``used``
+        (seed found for this exact digest + R^c), ``miss`` (nothing
+        cached), ``mismatch`` (seeds cached only under other R^c), or
+        ``disabled`` (request opted out).  A converged field is written
+        back as the seed for this slot and R^c.
         """
-        if enabled:
-            seed, outcome = snapshot.warm_field(slot, observed_key)
+        cfg = self.resolve_gsp_config(gsp_config, request.precision)
+        observed_key = frozenset(probes)
+        seed: Optional[np.ndarray] = None
+        if request.warm_start:
+            seed, outcome = snapshot.warm_field(request.slot, observed_key)
             if outcome == "hit":
                 outcome = "used"
         else:
-            seed, outcome = None, "disabled"
+            outcome = "disabled"
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter("gsp.warm_start", {"outcome": outcome}).inc()
-        return seed, outcome
-
-    def _store_warm(
-        self,
-        snapshot: ModelSnapshot,
-        slot: int,
-        observed_key: frozenset,
-        gsp_result: GSPResult,
-        enabled: bool,
-    ) -> None:
-        """Write a converged field back as the slot's warm-start seed."""
-        if enabled and gsp_result.converged:
-            snapshot.store_warm_field(slot, observed_key, gsp_result.speeds)
-
-    def _propagate_prepared(
-        self,
-        prepared: "PreparedQuery",
-        request: EstimationRequest,
-        gsp_config: Optional[GSPConfig],
-    ) -> GSPResult:
-        """The GSP stage of one prepared query, warm-start managed."""
-        cfg = self.resolve_gsp_config(gsp_config, request.precision)
-        observed_key = frozenset(prepared.probes)
-        seed, _ = self._warm_seed(
-            prepared.snapshot, request.slot, observed_key, request.warm_start
-        )
         with wrap_internal("gsp"):
             gsp_result = self._gsp_engine.propagate(
-                prepared.snapshot.slot(request.slot),
-                prepared.probes,
-                cfg,
-                initial_field=seed,
+                snapshot.slot(request.slot), probes, cfg, initial_field=seed
             )
-        self._store_warm(
-            prepared.snapshot, request.slot, observed_key,
-            gsp_result, request.warm_start,
-        )
+        if request.warm_start and gsp_result.converged:
+            snapshot.store_warm_field(request.slot, observed_key, gsp_result.speeds)
         return gsp_result
 
     @staticmethod

@@ -1,16 +1,13 @@
 """The canonical request type of the estimation stack.
 
-Before v2 every layer spelled "one query" its own way: the pipeline took
-a dozen positional arguments, the serving layer had ``ServeRequest``,
-workload traces a third ``WorkloadItem`` spelling with ``deadline_ms``.
-:class:`EstimationRequest` is the single shared type: the pipeline
-(:meth:`~repro.core.pipeline.CrowdRTSE.answer_query`), the serving layer
-(:meth:`~repro.serve.service.QueryService.submit`), the workload JSONL
-format, and the CLI all construct and consume it.  The old spellings
-remain as deprecated shims (see the deprecation table in docs/API.md).
+:class:`EstimationRequest` is the one spelling of "one query": the
+pipeline (:meth:`~repro.core.pipeline.CrowdRTSE.answer_query`), the
+serving layer (:meth:`~repro.serve.service.QueryService.submit`), the
+workload JSONL format, and the CLI all construct and consume it.  Its
+fields are validated at construction, so a malformed request fails
+before admission rather than on a serving worker.
 
-The request also carries the two per-query latency knobs introduced with
-it:
+The request also carries two per-query latency knobs:
 
 * ``precision`` — the GSP sweep precision
   (:class:`~repro.core.gsp.PrecisionPolicy` spelling; ``"float64"`` is
@@ -20,19 +17,19 @@ it:
   field of the same ``(parameter digest, R^c)`` pair when one is cached
   (:meth:`~repro.core.store.ModelSnapshot.warm_field`).  Warm-started
   runs converge to the same fixed point within the solver's ε, not
-  bit-identically — the deprecated legacy spellings therefore default it
-  off to stay byte-stable with pre-v2 answers.
+  bit-identically; pass ``warm_start=False`` for bit-stable answers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ModelError
 from repro.core.gsp import PrecisionPolicy
+from repro.core.ocs import SELECTORS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids crowd import at runtime
     from repro.crowd.market import CrowdMarket, TruthOracle
@@ -46,8 +43,8 @@ class EstimationRequest:
         queried: Queried road indices ``R^q`` (normalized to a tuple of
             ints).
         slot: Global time slot of the query.
-        budget: Crowdsourcing budget ``K``.
-        theta: Redundancy threshold θ of the OCS instance.
+        budget: Crowdsourcing budget ``K`` (positive).
+        theta: Redundancy threshold θ of the OCS instance, in ``(0, 1]``.
         selector: OCS solver — ``"hybrid"``, ``"ratio"``, ``"objective"``
             or ``"random"``.
         deadline_s: Wall-clock budget over the whole OCS → probe →
@@ -95,6 +92,15 @@ class EstimationRequest:
         )
         object.__setattr__(self, "slot", int(self.slot))
         object.__setattr__(self, "budget", float(self.budget))
+        if not self.budget > 0:
+            raise ModelError(f"budget must be positive, got {self.budget}")
+        if not 0.0 < self.theta <= 1.0:
+            raise ModelError(f"theta must be in (0, 1], got {self.theta}")
+        if self.selector not in set(SELECTORS) | {"random"}:
+            raise ModelError(
+                f"unknown selector {self.selector!r}; choose from "
+                f"{sorted(set(SELECTORS) | {'random'})}"
+            )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ModelError(
                 f"deadline_s must be positive, got {self.deadline_s}"
@@ -131,20 +137,3 @@ class EstimationRequest:
             return self
         return replace(self, **updates)
 
-
-def as_request(
-    request: Union[EstimationRequest, Sequence[int]],
-    **overrides: object,
-) -> EstimationRequest:
-    """Coerce a request-or-queried-sequence into an :class:`EstimationRequest`.
-
-    Helper for shims that accept both the canonical type and the legacy
-    "first argument is the queried roads" spelling.  ``overrides`` are
-    only applied on the legacy path; passing an
-    :class:`EstimationRequest` returns it unchanged.
-    """
-    if isinstance(request, EstimationRequest):
-        return request
-    return EstimationRequest(
-        queried=tuple(int(q) for q in request), **overrides  # type: ignore[arg-type]
-    )

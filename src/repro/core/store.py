@@ -55,6 +55,10 @@ _KIND_PROPAGATION = "propagation"
 #: explicitly dropped when a refresh replaces the slot (same atomic
 #: publish), so a stale seed can never outlive its parameters.
 _KIND_WARM_START = "warm_start"
+#: Seeds kept per slot digest, one per observed set ``R^c`` (most
+#: recently stored first), so a batch of distinct selections in one
+#: slot can each find its own seed on the next round.
+WARM_SEEDS_PER_SLOT = 8
 
 
 @dataclass
@@ -165,6 +169,15 @@ class _ArtifactCache:
             if cached is not None:
                 self._entries.move_to_end(key)
             return cached
+
+    def update(self, kind: str, digest: bytes, replace) -> None:
+        """Swap an entry for ``replace(old_or_None)`` in one critical section."""
+        key = (kind, digest)
+        with self._lock:
+            self._entries[key] = replace(self._entries.get(key))
+            self._entries.move_to_end(key)
+            if len(self._entries) > self._max_entries:
+                self._entries.popitem(last=False)
 
     def drop(self, kind: str, digest: bytes) -> bool:
         """Remove one entry; returns whether it was present."""
@@ -400,30 +413,34 @@ class ModelSnapshot:
     ) -> Tuple[Optional[np.ndarray], str]:
         """A previous converged GSP field usable as a warm-start seed.
 
-        The seed is keyed by the slot's parameter digest and guarded by
-        the observed set ``R^c`` it converged under: a refreshed slot's
-        new digest misses (and the refresh *also* drops the old entry in
+        Seeds are keyed by the slot's parameter digest and, within it, by
+        the observed set ``R^c`` each converged under (up to
+        :data:`WARM_SEEDS_PER_SLOT` per digest).  A refreshed slot's new
+        digest misses (and the refresh *also* drops the old entries in
         the same publish — see :meth:`ModelStore._publish`), and a
-        different crowdsourced selection falls back to cold start.
+        selection with no stored seed falls back to cold start.
 
         Returns:
             ``(field, outcome)`` where ``outcome`` is ``"hit"``,
-            ``"miss"`` (nothing cached) or ``"mismatch"`` (cached under a
-            different ``R^c``); ``field`` is a read-only float64 array on
-            hit, else ``None``.
+            ``"miss"`` (nothing cached for the digest) or ``"mismatch"``
+            (seeds cached only under other ``R^c``); ``field`` is a
+            read-only float64 array on hit, else ``None``.
         """
-        entry = self._artifacts.peek(_KIND_WARM_START, self.digest(slot))
-        if entry is None:
+        seeds = self._artifacts.peek(_KIND_WARM_START, self.digest(slot))
+        if seeds is None:
             return None, "miss"
-        field, cached_key = entry  # type: ignore[misc]
-        if cached_key != observed_key:
-            return None, "mismatch"
-        return field, "hit"
+        for cached_key, field in seeds:  # type: ignore[attr-defined]
+            if cached_key == observed_key:
+                return field, "hit"
+        return None, "mismatch"
 
     def store_warm_field(
         self, slot: int, observed_key: frozenset, field: np.ndarray
     ) -> None:
-        """Cache a converged GSP field as the slot's warm-start seed.
+        """Cache a converged GSP field as the slot's seed for ``R^c``.
+
+        Replaces any seed stored under the same ``R^c``; beyond
+        :data:`WARM_SEEDS_PER_SLOT` seeds the least recently stored goes.
 
         Raises:
             ModelError: On a shape mismatch with the network.
@@ -435,9 +452,13 @@ class ModelSnapshot:
                 f"{self._network.n_roads} roads"
             )
         arr.setflags(write=False)
-        self._artifacts.seed(
-            _KIND_WARM_START, self.digest(slot), (arr, frozenset(observed_key))
-        )
+        key = frozenset(observed_key)
+
+        def prepend(seeds):
+            kept = [entry for entry in seeds or () if entry[0] != key]
+            return ((key, arr), *kept[: WARM_SEEDS_PER_SLOT - 1])
+
+        self._artifacts.update(_KIND_WARM_START, self.digest(slot), prepend)
 
 
 class ModelStore:
@@ -780,21 +801,6 @@ class ModelStore:
         return self._artifacts.get_or_derive(f"backend.{kind}", digest, derive)
 
     # -- cache plumbing -------------------------------------------------
-
-    def seed_correlation(self, digest: bytes, matrix: np.ndarray) -> None:
-        """Warm the artifact cache with a precomputed Γ_R matrix.
-
-        Used when adopting an eagerly built
-        :class:`~repro.core.correlation.CorrelationTable` whose digests
-        match the current parameters, so legacy construction does not
-        re-derive work it already has in hand.
-        """
-        n = self._network.n_roads
-        if matrix.shape != (n, n):
-            raise ModelError(
-                f"correlation matrix shape {matrix.shape} != ({n}, {n})"
-            )
-        self._artifacts.seed(_KIND_CORRELATION, digest, matrix)
 
     def seed_propagation(
         self,

@@ -9,8 +9,7 @@ long-running deployment needs and the core deliberately does not carry:
 * **deadlines** — each request's remaining budget is enforced across
   the OCS → probe → GSP span and while queued;
 * **coalescing** — same-slot requests admitted together are served from
-  one pinned snapshot through the batched GSP path, and identical
-  requests share a single execution;
+  one pinned snapshot, and identical requests share a single execution;
 * **graceful degradation** — when the deadline is near or the crowd
   budget is exhausted, a request falls back to the Per (periodic-mean)
   baseline and is flagged ``degraded=True`` instead of failing.
@@ -27,13 +26,11 @@ from repro.serve.service import (
     QueryService,
     ServeConfig,
     ServedResult,
-    ServeRequest,
     ServeTicket,
     ShadowStats,
 )
 from repro.serve.workload import (
     ReplayReport,
-    WorkloadItem,
     load_workload,
     replay,
     save_workload,
@@ -48,11 +45,9 @@ __all__ = [
     "QueryService",
     "ReplayReport",
     "ServeConfig",
-    "ServeRequest",
     "ServeTicket",
     "ServedResult",
     "ShadowStats",
-    "WorkloadItem",
     "load_workload",
     "replay",
     "save_workload",

@@ -18,11 +18,9 @@ properties a serving tier needs:
   :class:`~repro.errors.QueryTimeoutError`.
 * **Coalescing** — a worker drains every queued request for the same
   slot into one batch served off **one pinned snapshot**: identical
-  requests share a single pipeline execution, and distinct same-slot
-  requests share one
-  :meth:`~repro.core.gsp.GSPEngine.propagate_batch` call, so the
-  engine's cached propagation structures are looked up once per batch
-  rather than once per request.
+  requests share a single pipeline execution, and every distinct
+  request runs :meth:`~repro.core.pipeline.CrowdRTSE.answer_query` once
+  — the same path a direct caller takes.
 * **Graceful degradation** — when the deadline is (nearly) spent or the
   crowd cannot be probed (budget exhausted, no workers), the request
   falls back to the Per baseline
@@ -43,7 +41,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import ContextManager, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -55,11 +53,10 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
     ServeError,
-    warn_deprecated_once,
 )
 from repro.baselines.periodic import periodic_field
-from repro.core.gsp import GSPConfig, GSPResult
-from repro.core.pipeline import CrowdRTSE, Deadline, PreparedQuery, QueryResult
+from repro.core.gsp import GSPConfig
+from repro.core.pipeline import CrowdRTSE, Deadline, QueryResult
 from repro.core.request import EstimationRequest
 from repro.core.store import ModelSnapshot
 from repro.crowd.market import CrowdMarket, TruthOracle
@@ -133,8 +130,8 @@ class ServeConfig:
             pipeline would not finish in time anyway.
         serialize_probes: Hold a service-wide lock around OCS + probing
             so a market shared between requests (one RNG, one worker
-            pool) is never driven from two threads at once.  GSP — the
-            heavy stage — always runs outside the lock.
+            pool) is never driven from two threads at once.  The
+            estimator (GSP or a backend) always runs outside the lock.
         gsp_config: Propagation knobs applied to every served query.
         shed_on_failing: Pre-emptive load shedding: when an installed
             :class:`repro.obs.health.HealthMonitor` reports the process
@@ -148,7 +145,8 @@ class ServeConfig:
             *same pinned snapshot* with this backend and emits the
             ``serve.shadow.*`` error/latency metrics — the caller's
             answer and latency are untouched (tickets resolve first).
-            The backend must be attached to the system's store.
+            The backend must be attached to the system's store;
+            ``"rtf_gsp"`` itself is rejected (it is the served path).
     """
 
     num_workers: int = 2
@@ -172,31 +170,11 @@ class ServeConfig:
             raise ServeError("ServeConfig.max_coalesce must be >= 1")
         if self.coalesce_window_s < 0 or self.degrade_margin_s < 0:
             raise ServeError("serve windows/margins must be >= 0")
-
-
-@dataclass(frozen=True)
-class ServeRequest(EstimationRequest):
-    """Deprecated alias of :class:`~repro.core.request.EstimationRequest`.
-
-    Kept as a constructor shim for pre-v2 callers (removal horizon
-    v2.0; see the deprecation table in docs/API.md).  Field names and
-    order match the canonical type, so positional construction keeps
-    working — the one difference is that ``warm_start`` defaults to
-    ``False`` here, preserving the bit-exact answers pre-v2 service
-    builds produced.  New code constructs
-    :class:`~repro.core.request.EstimationRequest` directly.
-    """
-
-    warm_start: bool = False
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        warn_deprecated_once(
-            "serve.serve_request",
-            "ServeRequest is deprecated and will be removed in v2.0; "
-            "construct repro.EstimationRequest instead (note: "
-            "EstimationRequest defaults warm_start=True)",
-        )
+        if self.shadow_backend == "rtf_gsp":
+            raise ServeError(
+                "ServeConfig.shadow_backend cannot be 'rtf_gsp': that is the "
+                "served path itself; name an attached challenger backend"
+            )
 
 
 @dataclass(frozen=True)
@@ -491,7 +469,13 @@ class QueryService:
                     )
 
     def _next_batch(self) -> Optional[List[ServeTicket]]:
-        """Pop a leader plus every coalescable same-slot follower."""
+        """Pop a leader plus every coalescable same-slot follower.
+
+        The leader and the same-slot backlog already queued are taken in
+        one critical section: were the lock released in between, another
+        worker could take part of that backlog and run a duplicate of a
+        request in this batch a second time.
+        """
         with self._work_ready:
             while not self._queue:
                 if self._closing:
@@ -499,29 +483,39 @@ class QueryService:
                 self._work_ready.wait(timeout=0.1)
             leader = self._queue.popleft()
             leader.picked_up_at = time.perf_counter()
+            batch = [leader]
+            self._queue = self._take_followers(batch, self._queue)
             self._set_depth_locked()
         if self._config.coalesce_window_s > 0 and leader.request.coalescable:
             # Linger briefly so near-simultaneous same-slot queries land
             # in this batch instead of the next one.
             time.sleep(self._config.coalesce_window_s)
-        batch = [leader]
-        if leader.request.coalescable:
             with self._lock:
-                kept: Deque[ServeTicket] = deque()
-                while self._queue and len(batch) < self._config.max_coalesce:
-                    candidate = self._queue.popleft()
-                    if (
-                        candidate.request.coalescable
-                        and candidate.request.slot == leader.request.slot
-                    ):
-                        candidate.picked_up_at = time.perf_counter()
-                        batch.append(candidate)
-                    else:
-                        kept.append(candidate)
-                kept.extend(self._queue)
-                self._queue = kept
+                self._queue = self._take_followers(batch, self._queue)
                 self._set_depth_locked()
         return batch
+
+    def _take_followers(
+        self, batch: List[ServeTicket], queue: Deque[ServeTicket]
+    ) -> Deque[ServeTicket]:
+        """Move ``queue``'s same-slot coalescable tickets into ``batch``.
+
+        Returns the tickets left queued, in order.  The caller holds the
+        service lock.
+        """
+        leader = batch[0].request
+        if not leader.coalescable:
+            return queue
+        kept: Deque[ServeTicket] = deque()
+        while queue and len(batch) < self._config.max_coalesce:
+            candidate = queue.popleft()
+            if candidate.request.coalescable and candidate.request.slot == leader.slot:
+                candidate.picked_up_at = time.perf_counter()
+                batch.append(candidate)
+            else:
+                kept.append(candidate)
+        kept.extend(queue)
+        return kept
 
     def _serve_batch(self, batch: List[ServeTicket]) -> None:
         """Serve one same-slot batch off one pinned snapshot."""
@@ -546,15 +540,8 @@ class QueryService:
                 n_shared = len(batch) - len(buckets)
                 if n_shared and metrics.enabled:
                     metrics.counter("serve.coalesced").inc(n_shared)
-                if len(buckets) == 1:
-                    # No cross-request batching needed: the leader runs
-                    # the plain pipeline (serve.request nested around
-                    # pipeline.answer_query) and every duplicate shares
-                    # its answer.
-                    for tickets in buckets.values():
-                        self._serve_bucket_single(tickets, snapshot)
-                else:
-                    self._serve_buckets_batched(list(buckets.values()), snapshot)
+                for tickets in buckets.values():
+                    self._serve_bucket(tickets, snapshot)
 
     @staticmethod
     def _coalesce_key(ticket: ServeTicket) -> tuple:
@@ -573,16 +560,13 @@ class QueryService:
             id(request.rng),
         )
 
-    # -- execution paths ------------------------------------------------
-
-    def _serve_bucket_single(
+    def _serve_bucket(
         self, tickets: List[ServeTicket], snapshot: ModelSnapshot
     ) -> None:
         """One unique request (possibly many duplicates): full pipeline."""
-        tracer = get_tracer()
         leader = tickets[0]
         request = leader.request
-        with tracer.span(
+        with get_tracer().span(
             "serve.request",
             slot=int(request.slot),
             queried=len(request.queried),
@@ -594,19 +578,17 @@ class QueryService:
                 )
                 return
             try:
-                with self._maybe_probe_lock():
-                    # The transitive wait is the artifact cache's
-                    # single-flight Event: bounded by one derivation on
-                    # a thread that never takes the probe lock, and
-                    # serialize_probes opts into exactly this hold.
-                    result = self._system.answer_query(  # repro: noqa[RA012]
-                        request,
-                        market=self._market_of(request),
-                        truth=self._truth_of(request),
-                        gsp_config=self._config.gsp_config,
-                        snapshot=snapshot,
-                        deadline=leader.deadline,
-                    )
+                result = self._system.answer_query(
+                    request,
+                    market=self._market_of(request),
+                    truth=self._truth_of(request),
+                    gsp_config=self._config.gsp_config,
+                    snapshot=snapshot,
+                    deadline=leader.deadline,
+                    probe_lock=(
+                        self._probe_lock if self._config.serialize_probes else None
+                    ),
+                )
             except QueryTimeoutError as exc:
                 self._finish_timeout(tickets, snapshot, exc)
                 return
@@ -621,163 +603,7 @@ class QueryService:
                 return
         self._finish_ok(tickets, result, snapshot)
 
-    def _serve_buckets_batched(
-        self, buckets: List[List[ServeTicket]], snapshot: ModelSnapshot
-    ) -> None:
-        """Several distinct same-slot requests: shared GSP batch.
-
-        OCS + probing run per unique request; the propagation stage is
-        one :meth:`GSPEngine.propagate_batch` call, so structure lookups
-        and schedule compilations are shared across the whole batch.
-        """
-        tracer = get_tracer()
-        ready: List[Tuple[List[ServeTicket], PreparedQuery]] = []
-        for tickets in buckets:
-            leader = tickets[0]
-            request = leader.request
-            with tracer.span(
-                "serve.request",
-                slot=int(request.slot),
-                queried=len(request.queried),
-                shared_by=len(tickets),
-                gsp_batched=True,
-            ):
-                if self._should_degrade_now(leader):
-                    self._finish_timeout(
-                        tickets, snapshot, self._queue_timeout(leader)
-                    )
-                    continue
-                try:
-                    with self._maybe_probe_lock():
-                        # Same single-flight artifact-cache wait as the
-                        # single path above; see that justification.
-                        prepared = self._system._select_and_probe(  # repro: noqa[RA012]
-                            request.queried,
-                            request.slot,
-                            request.budget,
-                            self._market_of(request),
-                            self._truth_of(request),
-                            request.theta,
-                            request.selector,
-                            request.rng,
-                            True,
-                            snapshot,
-                            leader.deadline,
-                        )
-                except QueryTimeoutError as exc:
-                    self._finish_timeout(tickets, snapshot, exc)
-                    continue
-                except (BudgetError, NoWorkersError):
-                    self._finish_degraded(tickets, snapshot, DEGRADED_BUDGET)
-                    continue
-                except ReproError as exc:
-                    self._fail_all(tickets, exc)
-                    continue
-                except Exception as exc:
-                    self._fail_all(tickets, InternalError("serve", exc))
-                    continue
-            if leader.deadline is not None and leader.deadline.expired:
-                # Probes landed too late to propagate within budget.
-                self._finish_timeout(
-                    tickets, snapshot,
-                    QueryTimeoutError(
-                        "gsp",
-                        leader.deadline.budget_seconds - leader.deadline.remaining(),
-                        leader.deadline.budget_seconds,
-                    ),
-                )
-                continue
-            ready.append((tickets, prepared))
-        if not ready:
-            return
-        # Non-default backends answer bucket-by-bucket off the shared
-        # snapshot; only the rtf_gsp buckets share a propagation batch.
-        gsp_ready: List[Tuple[List[ServeTicket], PreparedQuery]] = []
-        for tickets, prepared in ready:
-            leader = tickets[0]
-            backend = leader.request.backend
-            if backend == "rtf_gsp":
-                gsp_ready.append((tickets, prepared))
-                continue
-            try:
-                estimate = self._system.estimate_with_backend(
-                    backend,
-                    prepared.probes,
-                    prepared.slot,
-                    snapshot=snapshot,
-                    deadline=leader.deadline,
-                )
-            except QueryTimeoutError as exc:
-                self._finish_timeout(tickets, snapshot, exc)
-                continue
-            except ReproError as exc:
-                self._fail_all(tickets, exc)
-                continue
-            except Exception as exc:
-                self._fail_all(tickets, InternalError("serve", exc))
-                continue
-            self._finish_ok(
-                tickets,
-                self._system._assemble_backend_result(
-                    prepared, estimate.speeds, backend
-                ),
-                snapshot,
-            )
-        if not gsp_ready:
-            return
-        # One propagate_batch call per precision (the kernel dtype is a
-        # config-level property, not per-item); within each group every
-        # item carries its own warm-start seed.
-        by_precision: Dict[str, List[Tuple[List[ServeTicket], PreparedQuery]]] = {}
-        for tickets, prepared in gsp_ready:
-            by_precision.setdefault(
-                tickets[0].request.precision, []
-            ).append((tickets, prepared))
-        for precision, group in by_precision.items():
-            self._propagate_group(group, snapshot, precision)
-
-    def _propagate_group(
-        self,
-        group: List[Tuple[List[ServeTicket], PreparedQuery]],
-        snapshot: ModelSnapshot,
-        precision: str,
-    ) -> None:
-        """Propagate one same-precision group as a single GSP batch."""
-        cfg = CrowdRTSE.resolve_gsp_config(self._config.gsp_config, precision)
-        items = []
-        seeds: List[Optional[np.ndarray]] = []
-        keys: List[frozenset] = []
-        for tickets, prepared in group:
-            request = tickets[0].request
-            observed_key = frozenset(prepared.probes)
-            seed, _ = self._system._warm_seed(
-                snapshot, prepared.slot, observed_key, request.warm_start
-            )
-            items.append((snapshot.slot(prepared.slot), prepared.probes))
-            seeds.append(seed)
-            keys.append(observed_key)
-        gsp_results: List[GSPResult] = self._system.gsp_engine.propagate_batch(
-            items, cfg, initial_fields=seeds
-        )
-        for (tickets, prepared), observed_key, gsp_result in zip(
-            group, keys, gsp_results
-        ):
-            self._system._store_warm(
-                snapshot, prepared.slot, observed_key, gsp_result,
-                tickets[0].request.warm_start,
-            )
-            self._finish_ok(
-                tickets,
-                self._system._assemble_result(prepared, gsp_result),
-                snapshot,
-            )
-
     # -- helpers --------------------------------------------------------
-
-    def _maybe_probe_lock(self) -> ContextManager[object]:
-        if self._config.serialize_probes:
-            return self._probe_lock
-        return _NULL_CONTEXT
 
     def _market_of(self, request: EstimationRequest) -> CrowdMarket:
         market = request.market if request.market is not None else self._market
@@ -962,15 +788,3 @@ class QueryService:
             # HealthMonitor is installed; called outside any lock).
             obs_health.record_failure("serve", exc)
 
-
-class _NullContext:
-    """``with``-able stand-in when probe serialization is off."""
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()

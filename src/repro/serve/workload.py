@@ -14,8 +14,9 @@ percentiles; without ``--requests`` it synthesizes a mixed-slot workload
 with a configurable duplication factor (many users asking about the
 same roads in the same slot — exactly what coalescing exploits).
 
-The pre-v2 ``deadline_ms`` key and the :class:`WorkloadItem` type are
-deprecated spellings (removal horizon v2.0; docs/API.md).
+Values must carry their JSON type: a string where a number, list or
+boolean belongs (``"queried": "37"``, ``"warm_start": "false"``) or a
+fractional slot is rejected rather than coerced.
 """
 
 from __future__ import annotations
@@ -25,78 +26,66 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Type,
+    TypeVar,
+    Union,
+)
 
 import numpy as np
 
-from repro.errors import (
-    DatasetError,
-    ModelError,
-    OverloadedError,
-    ReproError,
-    warn_deprecated_once,
-)
+from repro.errors import DatasetError, ModelError, OverloadedError, ReproError
 from repro.core.request import EstimationRequest
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS, bucket_quantile
 from repro.serve.service import QueryService
 
 #: Keys a trace line may carry (anything else is rejected loudly).
-#: ``deadline_ms`` is the deprecated spelling of ``deadline_s``.
 _TRACE_KEYS = {
     "slot", "queried", "budget", "theta", "selector", "deadline_s",
-    "deadline_ms", "day", "backend", "precision", "warm_start",
+    "day", "backend", "precision", "warm_start",
 }
 
 
-@dataclass(frozen=True)
-class WorkloadItem:
-    """Deprecated pre-v2 trace-line type (one request before binding).
-
-    Traces now load directly as
-    :class:`~repro.core.request.EstimationRequest`; this shim remains
-    constructible until v2.0 (docs/API.md) and is still accepted by
-    :func:`save_workload` and :func:`replay`.
-    """
-
-    slot: int
-    queried: Tuple[int, ...]
-    budget: float
-    theta: float = 0.92
-    selector: str = "hybrid"
-    deadline_ms: Optional[float] = None
-    day: int = 0
-
-    def __post_init__(self) -> None:
-        warn_deprecated_once(
-            "serve.workload_item",
-            "WorkloadItem is deprecated and will be removed in v2.0; "
-            "construct repro.EstimationRequest instead (deadline_s "
-            "replaces deadline_ms)",
-        )
-
-    def as_request(self) -> EstimationRequest:
-        """The canonical spelling of this trace line."""
-        return EstimationRequest(
-            queried=self.queried,
-            slot=self.slot,
-            budget=self.budget,
-            theta=self.theta,
-            selector=self.selector,
-            deadline_s=(
-                self.deadline_ms / 1e3 if self.deadline_ms is not None else None
-            ),
-            day=self.day,
-        )
+_T = TypeVar("_T")
 
 
-#: A trace entry as accepted by :func:`save_workload` / :func:`replay`.
-TraceEntry = Union[EstimationRequest, WorkloadItem]
+def _typed(value: object, key: str, kind: Type[_T]) -> _T:
+    """``value`` when it has JSON type ``kind`` (a bool is no int)."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise DatasetError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
-def _entry_request(entry: TraceEntry) -> EstimationRequest:
-    if isinstance(entry, WorkloadItem):
-        return entry.as_request()
-    return entry
+def _number(value: object, key: str) -> float:
+    """``value`` as a float when it is a JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DatasetError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _parse_request(record: Mapping[str, object]) -> EstimationRequest:
+    """One trace line as a request, every value type-checked."""
+    deadline_s = record.get("deadline_s")
+    return EstimationRequest(
+        queried=tuple(
+            _typed(q, "queried", int) for q in _typed(record["queried"], "queried", list)
+        ),
+        slot=_typed(record["slot"], "slot", int),
+        budget=_number(record["budget"], "budget"),
+        theta=_number(record.get("theta", 0.92), "theta"),
+        selector=_typed(record.get("selector", "hybrid"), "selector", str),
+        deadline_s=None if deadline_s is None else _number(deadline_s, "deadline_s"),
+        backend=_typed(record.get("backend", "rtf_gsp"), "backend", str),
+        precision=_typed(record.get("precision", "float64"), "precision", str),
+        warm_start=_typed(record.get("warm_start", True), "warm_start", bool),
+        day=_typed(record.get("day", 0), "day", int),
+    )
 
 
 def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
@@ -130,38 +119,9 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
                 f"{path}:{lineno}: unknown keys {sorted(unknown)} "
                 f"(allowed: {sorted(_TRACE_KEYS)})"
             )
-        if record.get("deadline_ms") is not None:
-            if record.get("deadline_s") is not None:
-                raise DatasetError(
-                    f"{path}:{lineno}: carries both deadline_s and the "
-                    "deprecated deadline_ms — keep deadline_s"
-                )
-            warn_deprecated_once(
-                "serve.workload_deadline_ms",
-                "the deadline_ms trace key is deprecated and will be "
-                "removed in v2.0; write deadline_s (seconds) instead",
-            )
         try:
-            deadline_s: Optional[float] = None
-            if record.get("deadline_s") is not None:
-                deadline_s = float(record["deadline_s"])
-            elif record.get("deadline_ms") is not None:
-                deadline_s = float(record["deadline_ms"]) / 1e3
-            items.append(
-                EstimationRequest(
-                    queried=tuple(int(q) for q in record["queried"]),
-                    slot=int(record["slot"]),
-                    budget=float(record["budget"]),
-                    theta=float(record.get("theta", 0.92)),
-                    selector=str(record.get("selector", "hybrid")),
-                    deadline_s=deadline_s,
-                    backend=str(record.get("backend", "rtf_gsp")),
-                    precision=str(record.get("precision", "float64")),
-                    warm_start=bool(record.get("warm_start", True)),
-                    day=int(record.get("day", 0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError, ModelError) as exc:
+            items.append(_parse_request(record))
+        except (KeyError, DatasetError, ModelError) as exc:
             raise DatasetError(
                 f"{path}:{lineno}: malformed request: {exc}"
             ) from exc
@@ -170,17 +130,16 @@ def load_workload(path: Union[str, Path]) -> List[EstimationRequest]:
     return items
 
 
-def save_workload(items: Sequence[TraceEntry], path: Union[str, Path]) -> None:
+def save_workload(
+    items: Sequence[EstimationRequest], path: Union[str, Path]
+) -> None:
     """Write a trace back out as JSON-lines (inverse of :func:`load_workload`).
 
-    Always writes the canonical keys (``deadline_s``, never
-    ``deadline_ms``); the latency knobs ``backend``/``precision``/
-    ``warm_start`` are written only when they differ from the request
-    defaults, so pre-v2 readers can still consume default traces.
+    The latency knobs ``backend``/``precision``/``warm_start`` are
+    written only when they differ from the request defaults.
     """
     lines = []
-    for entry in items:
-        item = _entry_request(entry)
+    for item in items:
         record: Dict[str, object] = {
             "slot": item.slot,
             "queried": list(item.queried),
@@ -208,7 +167,7 @@ def synthesize_workload(
     budget: float,
     queried_size: int = 8,
     duplication: int = 4,
-    deadline_ms: Optional[float] = None,
+    deadline_s: Optional[float] = None,
     seed: int = 0,
 ) -> List[EstimationRequest]:
     """A mixed-slot workload with realistic request duplication.
@@ -240,9 +199,7 @@ def synthesize_workload(
                 queried=tuple(int(road_pool[i]) for i in queried),
                 slot=int(slots[k % len(slots)]),
                 budget=float(budget),
-                deadline_s=(
-                    deadline_ms / 1e3 if deadline_ms is not None else None
-                ),
+                deadline_s=deadline_s,
             )
         )
     items = [uniques[k % n_unique] for k in range(n_requests)]
@@ -326,8 +283,8 @@ class ReplayReport:
 
 def replay(
     service: QueryService,
-    items: Sequence[TraceEntry],
-    bind: Optional[Callable[[TraceEntry], EstimationRequest]] = None,
+    items: Sequence[EstimationRequest],
+    bind: Optional[Callable[[EstimationRequest], EstimationRequest]] = None,
 ) -> ReplayReport:
     """Submit a whole trace and collect every outcome.
 
@@ -338,15 +295,14 @@ def replay(
 
     Args:
         service: A started :class:`QueryService`.
-        items: The trace (:class:`EstimationRequest`, or the deprecated
-            :class:`WorkloadItem`).
+        items: The trace.
         bind: Turns a trace entry into the request actually submitted
             (attach per-day markets/truth oracles).  Defaults to the
             entry itself, relying on the service-level market/truth.
     """
     if bind is None:
-        def bind(item: TraceEntry) -> EstimationRequest:
-            return _entry_request(item)
+        def bind(item: EstimationRequest) -> EstimationRequest:
+            return item
 
     report = ReplayReport(n_requests=len(items))
     start = time.perf_counter()

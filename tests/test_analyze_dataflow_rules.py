@@ -473,6 +473,30 @@ class TestRA012BlockingUnderLock:
         assert "may block" in findings[0].message
         assert "_flush" in findings[0].message
 
+    def test_blocking_callee_under_passed_in_lock_fires(self, tmp_path):
+        """A lock handed over as a parameter and entered by the callee is
+        a held lock too (the service probe lock in ``answer_query``)."""
+        findings = check(RA012BlockingUnderLock(), tmp_path, {
+            "src/pipe.py": """
+    import threading
+    from contextlib import nullcontext
+
+    class Pipeline:
+        def __init__(self):
+            self._ready = threading.Event()
+
+        def _derive(self):
+            self._ready.wait()
+
+        def answer(self, probe_lock=None):
+            with probe_lock if probe_lock is not None else nullcontext():
+                self._derive()
+""",
+        })
+        assert len(findings) == 1
+        assert "may block" in findings[0].message
+        assert "Pipeline.answer.probe_lock" in findings[0].message
+
     def test_io_outside_lock_is_clean(self, tmp_path):
         findings = check(RA012BlockingUnderLock(), tmp_path, {
             "src/worker.py": """

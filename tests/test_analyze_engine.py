@@ -107,6 +107,47 @@ class TestCallGraph:
         held = [sorted(site.held) for site in locked.calls]
         assert held == [["src/m.py::Box._lock"], []]
 
+    def test_entered_lock_parameter_is_held_and_aliased(self, tmp_path):
+        graph = _graph(tmp_path, {"src/pipe.py": """
+    from contextlib import nullcontext
+
+    class Pipeline:
+        def answer(self, request, probe_lock=None):
+            with probe_lock if probe_lock is not None else nullcontext():
+                self.select(request)
+            self.estimate(request)
+
+        def select(self, request):
+            return request
+
+        def estimate(self, request):
+            return request
+""", "src/service.py": """
+    import threading
+
+    class Service:
+        def __init__(self, pipeline):
+            self._probe_lock = threading.Lock()
+            self._pipeline = pipeline
+
+        def serve(self, request, serialize):
+            self._pipeline.answer(
+                request, probe_lock=self._probe_lock if serialize else None
+            )
+"""})
+        answer = graph.functions["src/pipe.py::Pipeline.answer"]
+        node = "src/pipe.py::Pipeline.answer.probe_lock"
+        assert answer.param_locks == {"probe_lock": node}
+        held = {
+            site.node.func.attr: sorted(site.held)
+            for site in answer.calls
+            if isinstance(site.node.func, ast.Attribute)
+        }
+        assert held == {"select": [node], "estimate": []}
+        assert graph.aliases.find(node) == graph.aliases.find(
+            "src/service.py::Service._probe_lock"
+        )
+
     def test_bind_call_args_drops_self_and_binds_keywords(self, tmp_path):
         graph = _graph(tmp_path, {"src/m.py": """
     class Box:

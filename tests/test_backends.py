@@ -1,10 +1,10 @@
 """Core tests of the pluggable estimator-backend layer (repro.backends).
 
-Covers the registry contract, the RTF+GSP backend's differential
-equivalence with the default pipeline path, the offline-shim
-equivalence with the wrapped baselines, snapshot state plumbing through
-the store, backend-aware refresh (direct and via the streaming
-refresher), and the pipeline's per-query backend dispatch.
+Covers the registry contract (including the reserved ``rtf_gsp`` name
+of the pipeline's own path), the offline-shim equivalence with the
+wrapped baselines, snapshot state plumbing through the store,
+backend-aware refresh (direct and via the streaming refresher), and the
+pipeline's per-query backend dispatch.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.backends import (
     GMRFBackend,
     LSMRNBackend,
     OfflineBackend,
-    RTFGSPBackend,
     available_backends,
     create_backend,
     register_backend,
@@ -29,7 +28,7 @@ from repro.backends import (
 from repro.baselines import EstimationContext, PeriodicEstimator
 
 
-BUILTINS = ("gmrf", "grmc", "lasso", "lsmrn", "per", "rtf_gsp")
+BUILTINS = ("gmrf", "grmc", "lasso", "lsmrn", "per")
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +39,7 @@ def world(tiny_dataset):
         data.network, data.train_history, slots=[data.slot]
     )
     for name in BUILTINS:
-        if name != "rtf_gsp":
-            system.attach_backend(name, history=data.train_history)
-    from repro.backends.rtf_gsp import RTFGSPState
-
-    system.attach_backend(
-        "rtf_gsp",
-        state=RTFGSPState(params={data.slot: system.model.slot(data.slot)}),
-    )
+        system.attach_backend(name, history=data.train_history)
     return {"data": data, "system": system}
 
 
@@ -58,14 +50,17 @@ def answer(world, seed=0, **overrides):
         rng=np.random.default_rng(seed),
     )
     truth = repro.truth_oracle_for(data.test_history, 0, data.slot)
-    kwargs = dict(
+    fields = dict(
+        queried=data.queried,
+        slot=data.slot,
         budget=15,
-        market=market,
-        truth=truth,
         rng=np.random.default_rng(seed),
+        warm_start=False,
     )
-    kwargs.update(overrides)
-    return world["system"].answer_query(data.queried, data.slot, **kwargs)
+    fields.update(overrides)
+    return world["system"].answer_query(
+        repro.EstimationRequest(**fields), market=market, truth=truth
+    )
 
 
 class TestRegistry:
@@ -82,7 +77,7 @@ class TestRegistry:
 
     def test_register_invalid_name_raises(self):
         with pytest.raises(errors.BackendError):
-            register_backend("Bad Name!", RTFGSPBackend)
+            register_backend("Bad Name!", GMRFBackend)
 
     def test_register_non_callable_raises(self):
         with pytest.raises(errors.BackendError):
@@ -90,26 +85,31 @@ class TestRegistry:
 
     def test_duplicate_rejected_without_replace(self):
         with pytest.raises(errors.BackendError, match="already registered"):
-            register_backend("rtf_gsp", RTFGSPBackend)
+            register_backend("gmrf", GMRFBackend)
+
+    def test_pipeline_name_is_reserved(self):
+        assert "rtf_gsp" not in available_backends()
+        with pytest.raises(errors.BackendError, match="reserved"):
+            register_backend("rtf_gsp", GMRFBackend, replace=True)
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(errors.BackendError):
             unregister_backend("definitely_not_registered")
 
     def test_register_create_unregister_roundtrip(self, line_net):
-        class Custom(RTFGSPBackend):
-            name = "custom_rtf"
+        class Custom(GMRFBackend):
+            name = "custom_gmrf"
 
-        register_backend("custom_rtf", Custom)
+        register_backend("custom_gmrf", Custom)
         try:
-            backend = create_backend("custom_rtf", line_net)
+            backend = create_backend("custom_gmrf", line_net)
             assert isinstance(backend, Custom)
         finally:
-            unregister_backend("custom_rtf")
-        assert "custom_rtf" not in available_backends()
+            unregister_backend("custom_gmrf")
+        assert "custom_gmrf" not in available_backends()
 
     def test_factory_name_mismatch_raises(self, line_net):
-        register_backend("misnamed", RTFGSPBackend, replace=True)
+        register_backend("misnamed", GMRFBackend, replace=True)
         try:
             with pytest.raises(errors.BackendError, match="produced a backend"):
                 create_backend("misnamed", line_net)
@@ -118,16 +118,20 @@ class TestRegistry:
 
 
 class TestRTFGSPDifferential:
+    """``rtf_gsp`` is the pipeline's own path, not an attached backend."""
+
     def test_backend_matches_default_pipeline_field(self, world):
-        """The extracted backend is the pipeline: same probes, same field."""
+        """The default field is GSP over the model's slot: same probes, same field."""
+        data = world["data"]
         result = answer(world)
-        estimate = world["system"].estimate_with_backend(
-            "rtf_gsp", result.probes, world["data"].slot
+        reference = repro.propagate(
+            data.network, world["system"].model.slot(data.slot), result.probes
         )
         np.testing.assert_allclose(
-            estimate.speeds, result.full_field_kmh, rtol=0, atol=1e-12
+            reference.speeds, result.full_field_kmh, rtol=0, atol=1e-12
         )
-        assert estimate.provenance["converged"] in (True, False)
+        assert result.gsp is not None
+        assert result.gsp.sweeps == reference.sweeps
 
     def test_answer_query_default_backend_tag(self, world):
         result = answer(world)
@@ -136,9 +140,14 @@ class TestRTFGSPDifferential:
 
     def test_unknown_slot_raises_not_fitted(self, world):
         with pytest.raises(errors.NotFittedError):
-            world["system"].estimate_with_backend(
-                "rtf_gsp", {0: 40.0}, 999_999
-            )
+            answer(world, slot=999_999)
+
+    def test_pipeline_path_cannot_be_attached(self, world):
+        data = world["data"]
+        with pytest.raises(errors.BackendError, match="pipeline"):
+            world["system"].attach_backend("rtf_gsp", history=data.train_history)
+        with pytest.raises(errors.BackendError):
+            world["system"].estimate_with_backend("rtf_gsp", {0: 40.0}, data.slot)
 
 
 class TestOfflineShim:
@@ -278,8 +287,15 @@ class TestAnswerQueryDispatch:
         truth = repro.truth_oracle_for(data.test_history, 0, data.slot)
         with pytest.raises(errors.BackendError):
             system.answer_query(
-                data.queried, data.slot, budget=15,
-                market=market, truth=truth, backend="lsmrn",
+                repro.EstimationRequest(
+                    queried=data.queried,
+                    slot=data.slot,
+                    budget=15,
+                    backend="lsmrn",
+                    warm_start=False,
+                ),
+                market=market,
+                truth=truth,
             )
 
 
@@ -359,5 +375,5 @@ class TestTemplateContract:
             backend.fit(data.train_history, slots=[])
 
     def test_subclasses_are_estimator_backends(self):
-        for cls in (RTFGSPBackend, OfflineBackend, LSMRNBackend, GMRFBackend):
+        for cls in (OfflineBackend, LSMRNBackend, GMRFBackend):
             assert issubclass(cls, EstimatorBackend)

@@ -21,17 +21,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 import repro
 from repro.backends import (
+    DEFAULT_BACKEND,
     EstimatorBackend,
+    GMRFBackend,
     available_backends,
     create_backend,
     register_backend,
     unregister_backend,
 )
 from repro.backends.registry import _NAME_RE
-from repro.backends.rtf_gsp import RTFGSPBackend, RTFGSPState
 from repro.errors import BackendError
 
-BUILTINS = ("gmrf", "grmc", "lasso", "lsmrn", "per", "rtf_gsp")
+BUILTINS = ("gmrf", "grmc", "lasso", "lsmrn", "per")
 
 valid_names = st.from_regex(r"[a-z][a-z0-9_]{0,20}", fullmatch=True)
 
@@ -48,12 +49,7 @@ def world(tiny_dataset):
         data.network, data.train_history, slots=[data.slot]
     )
     for name in BUILTINS:
-        if name != "rtf_gsp":
-            system.attach_backend(name, history=data.train_history)
-    system.attach_backend(
-        "rtf_gsp",
-        state=RTFGSPState(params={data.slot: system.model.slot(data.slot)}),
-    )
+        system.attach_backend(name, history=data.train_history)
     old = system.store.current()
     day = data.test_history.slot_samples(data.slot)[0]
     system.refresh({data.slot: day}, learning_rate=0.2)
@@ -77,10 +73,10 @@ class TestRegistryProperties:
     @given(name=valid_names)
     @settings(max_examples=50, deadline=None)
     def test_register_create_unregister_roundtrip(self, name):
-        assume(name not in available_backends())
+        assume(name not in available_backends() and name != DEFAULT_BACKEND)
 
         def factory(network, _name=name):
-            backend = RTFGSPBackend(network)
+            backend = GMRFBackend(network)
             backend.name = _name  # instance attribute shadows the class
             return backend
 
@@ -104,17 +100,16 @@ class TestRegistryProperties:
     def test_invalid_names_rejected(self, name):
         assume(_NAME_RE.match(name) is None)
         with pytest.raises(BackendError, match="invalid backend name"):
-            register_backend(name, lambda network: RTFGSPBackend(network))
+            register_backend(name, lambda network: GMRFBackend(network))
 
     @given(name=valid_names)
     @settings(max_examples=25, deadline=None)
     def test_registration_never_leaks_on_factory_mismatch(self, name):
-        assume(name not in available_backends())
-        register_backend(name, RTFGSPBackend)  # factory makes "rtf_gsp"
+        assume(name not in available_backends() and name != DEFAULT_BACKEND)
+        register_backend(name, GMRFBackend)  # factory makes "gmrf"
         try:
-            if name != "rtf_gsp":
-                with pytest.raises(BackendError, match="produced a backend"):
-                    create_backend(name, repro.line_network(4))
+            with pytest.raises(BackendError, match="produced a backend"):
+                create_backend(name, repro.line_network(4))
             assert available_backends() == tuple(sorted(available_backends()))
         finally:
             unregister_backend(name)
@@ -147,7 +142,7 @@ class TestSnapshotProperties:
             # The pinned snapshot still serves the pre-refresh state blob.
             assert old.backend_state(name) is not (
                 system.store.current().backend_state(name)
-            ) or name == "rtf_gsp"
+            )
 
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)

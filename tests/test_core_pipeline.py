@@ -6,8 +6,7 @@ import pytest
 import repro
 from repro.core.correlation import CorrelationTable
 from repro.core.store import ModelStore
-from repro import errors
-from repro.errors import ModelError, SelectionError
+from repro.errors import ModelError
 from repro.datasets import truth_oracle_for
 
 
@@ -33,7 +32,7 @@ class TestFit:
 
     def test_network_mismatch_rejected(self, tiny_system, grid_net):
         with pytest.raises(ModelError):
-            repro.CrowdRTSE(grid_net, tiny_system.model, tiny_system.correlations)
+            repro.CrowdRTSE(grid_net, store=tiny_system.store)
 
     def test_fit_publishes_store_version_1(self, tiny_system):
         assert tiny_system.store.version == 1
@@ -51,65 +50,14 @@ class TestFit:
         assert table.matrix(tiny_dataset.slot).shape == (n, n)
 
 
-class TestLegacyConstruction:
-    def test_model_plus_matching_table_adopted(self, tiny_dataset, tiny_system):
-        """The eager table's matrices seed the store: nothing re-derives."""
-        model = tiny_system.model
-        table = CorrelationTable.precompute(model, slots=[tiny_dataset.slot])
-        system = repro.CrowdRTSE(tiny_dataset.network, model, table)
-        np.testing.assert_allclose(
-            system.correlations.matrix(tiny_dataset.slot),
-            table.matrix(tiny_dataset.slot),
-        )
-        assert system.store.stats.correlation_derivations == 0
+class TestConstruction:
+    def test_store_is_the_only_constructor_input(self, tiny_dataset, tiny_system):
+        """The pre-v2 (network, model, correlations) form is gone."""
+        with pytest.raises(TypeError):
+            repro.CrowdRTSE(tiny_dataset.network, tiny_system.model)
+        system = repro.CrowdRTSE(tiny_dataset.network, store=tiny_system.store)
+        assert system.store is tiny_system.store
         assert system.fit_diagnostics is None
-
-    def test_stale_table_warns_and_refuses_to_serve(
-        self, tiny_dataset, tiny_system, market, truth
-    ):
-        """A Γ_R generation that mismatches the model is a trap, not a bug."""
-        model = tiny_system.model
-        table = CorrelationTable.precompute(model, slots=[tiny_dataset.slot])
-        stale_model = repro.refresh_model(
-            tiny_dataset.network,
-            model,
-            {tiny_dataset.slot: tiny_dataset.test_history.day(0)[
-                tiny_dataset.test_history.local_slot(tiny_dataset.slot)
-            ]},
-            learning_rate=0.5,
-        )
-        errors.reset_deprecation_warnings("pipeline.legacy_model_table")
-        with pytest.warns(DeprecationWarning, match="stale"):
-            system = repro.CrowdRTSE(tiny_dataset.network, stale_model, table)
-        with pytest.raises(ModelError, match="digest mismatch"):
-            system.answer_query(
-                tiny_dataset.queried,
-                tiny_dataset.slot,
-                budget=15,
-                market=market,
-                truth=truth,
-            )
-
-    def test_refresh_clears_the_stale_trap(self, tiny_dataset, tiny_system,
-                                           market, truth):
-        model = tiny_system.model
-        table = CorrelationTable.precompute(model, slots=[tiny_dataset.slot])
-        sample = tiny_dataset.test_history.day(0)[
-            tiny_dataset.test_history.local_slot(tiny_dataset.slot)
-        ]
-        stale_model = repro.refresh_model(
-            tiny_dataset.network, model, {tiny_dataset.slot: sample},
-            learning_rate=0.5,
-        )
-        errors.reset_deprecation_warnings("pipeline.legacy_model_table")
-        with pytest.warns(DeprecationWarning):
-            system = repro.CrowdRTSE(tiny_dataset.network, stale_model, table)
-        system.refresh({tiny_dataset.slot: sample})
-        result = system.answer_query(
-            tiny_dataset.queried, tiny_dataset.slot, budget=15,
-            market=market, truth=truth,
-        )
-        assert np.all(np.isfinite(result.estimates_kmh))
 
 
 class TestRefresh:
@@ -133,13 +81,19 @@ class TestRefresh:
             system.model.slot(tiny_dataset.slot).mu, mu_before
         )
         result = system.answer_query(
-            tiny_dataset.queried, tiny_dataset.slot, budget=15,
-            market=market, truth=truth,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=15,
+                warm_start=False,
+            ),
+            market=market,
+            truth=truth,
         )
         assert np.all(np.isfinite(result.estimates_kmh))
 
     def test_store_and_model_pair_rejected(self, tiny_dataset, tiny_system):
-        with pytest.raises(ModelError, match="not both"):
+        with pytest.raises(TypeError):
             repro.CrowdRTSE(
                 tiny_dataset.network,
                 tiny_system.model,
@@ -166,9 +120,12 @@ class TestBuildOCSInstance:
 class TestAnswerQuery:
     def test_basic_roundtrip(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=20,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=20,
+                warm_start=False,
+            ),
             market=market,
             truth=truth,
         )
@@ -179,9 +136,12 @@ class TestAnswerQuery:
 
     def test_budget_respected(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=15,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=15,
+                warm_start=False,
+            ),
             market=market,
             truth=truth,
         )
@@ -190,9 +150,12 @@ class TestAnswerQuery:
 
     def test_probed_roads_keep_probe_values(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=20,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=20,
+                warm_start=False,
+            ),
             market=market,
             truth=truth,
         )
@@ -202,32 +165,36 @@ class TestAnswerQuery:
     @pytest.mark.parametrize("selector", ["hybrid", "ratio", "objective", "random"])
     def test_all_selectors_work(self, tiny_dataset, tiny_system, market, truth, selector):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=15,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=15,
+                selector=selector,
+                rng=np.random.default_rng(1),
+                warm_start=False,
+            ),
             market=market,
             truth=truth,
-            selector=selector,
-            rng=np.random.default_rng(1),
         )
         assert result.budget_spent <= 15
 
-    def test_unknown_selector_rejected(self, tiny_dataset, tiny_system, market, truth):
-        with pytest.raises(SelectionError, match="unknown selector"):
-            tiny_system.answer_query(
-                tiny_dataset.queried,
-                tiny_dataset.slot,
+    def test_unknown_selector_rejected(self, tiny_dataset):
+        with pytest.raises(ModelError, match="unknown selector"):
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
                 budget=15,
-                market=market,
-                truth=truth,
                 selector="genie",
             )
 
     def test_estimate_of_lookup(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=20,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=20,
+                warm_start=False,
+            ),
             market=market,
             truth=truth,
         )
@@ -240,9 +207,12 @@ class TestAnswerQuery:
 
     def test_receipts_align_with_selection(self, tiny_dataset, tiny_system, market, truth):
         result = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=25,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=25,
+                warm_start=False,
+            ),
             market=market,
             truth=truth,
         )
@@ -266,9 +236,12 @@ class TestAnswerQuery:
             )
             truth = truth_oracle_for(tiny_dataset.test_history, day, tiny_dataset.slot)
             result = tiny_system.answer_query(
-                tiny_dataset.queried,
-                tiny_dataset.slot,
-                budget=30,
+                repro.EstimationRequest(
+                    queried=tiny_dataset.queried,
+                    slot=tiny_dataset.slot,
+                    budget=30,
+                    warm_start=False,
+                ),
                 market=market,
                 truth=truth,
             )

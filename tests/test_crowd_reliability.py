@@ -102,8 +102,14 @@ class TestCollectAnswerHistory:
         )
         truth = truth_oracle_for(tiny_dataset.test_history, 0, tiny_dataset.slot)
         result = tiny_system.answer_query(
-            tiny_dataset.queried, tiny_dataset.slot, budget=25,
-            market=market, truth=truth,
+            repro.EstimationRequest(
+                queried=tiny_dataset.queried,
+                slot=tiny_dataset.slot,
+                budget=25,
+                warm_start=False,
+            ),
+            market=market,
+            truth=truth,
         )
         answers, truths = collect_answer_history(result.receipts)
         assert set(answers) == set(result.selection.selected)

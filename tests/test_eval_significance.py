@@ -58,8 +58,14 @@ class TestPairedBootstrap:
                 tiny_dataset.test_history, day, tiny_dataset.slot
             )
             result = tiny_system.answer_query(
-                tiny_dataset.queried, tiny_dataset.slot, budget=30,
-                market=market, truth=truth,
+                repro.EstimationRequest(
+                    queried=tiny_dataset.queried,
+                    slot=tiny_dataset.slot,
+                    budget=30,
+                    warm_start=False,
+                ),
+                market=market,
+                truth=truth,
             )
             gsp_all.append(result.estimates_kmh)
             per_all.append(params.mu[list(tiny_dataset.queried)])

@@ -1,8 +1,10 @@
-"""Smoke tests: the example scripts run end-to-end and print results.
+"""Smoke tests: every example script runs end-to-end and prints results.
 
 Each example is executed as a subprocess (exactly how a user runs it)
-and its output checked for the headline lines.  Marked slow; the two
-fastest examples are exercised so the suite stays snappy.
+with ``-W error::DeprecationWarning``, so an example still using a
+deprecated spelling fails here instead of warning at a user.  Two
+scripts are also checked for their headline lines; every other script
+runs through the parametrized test, so each runs exactly once.
 """
 
 import subprocess
@@ -13,10 +15,17 @@ import pytest
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
+#: Scripts with a dedicated headline test below.
+HEADLINED = ("quickstart.py", "incident_detection.py")
+
+OTHER_SCRIPTS = sorted(
+    path.name for path in EXAMPLES.glob("*.py") if path.name not in HEADLINED
+)
+
 
 def run_example(name: str, timeout: int = 240) -> str:
     result = subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
+        [sys.executable, "-W", "error::DeprecationWarning", str(EXAMPLES / name)],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -36,3 +45,13 @@ class TestExamples:
         out = run_example("incident_detection.py")
         assert "*ALARM*" in out
         assert "incident zone" in out
+
+    @pytest.mark.parametrize("name", OTHER_SCRIPTS)
+    def test_runs_without_deprecations(self, name):
+        assert run_example(name).strip()
+
+
+def test_every_example_is_covered():
+    scripts = {path.name for path in EXAMPLES.glob("*.py")}
+    assert set(HEADLINED) <= scripts
+    assert len(OTHER_SCRIPTS) == len(scripts) - len(HEADLINED) >= 4

@@ -139,7 +139,7 @@ class TestBatch:
         assert np.allclose(batch[0].speeds, solo_a.speeds, atol=1e-12)
         assert np.allclose(batch[1].speeds, solo_b.speeds, atol=1e-12)
         # Same observed set → the second item reuses the compiled schedule.
-        assert batch[1].schedule_cache_hit
+        assert batch[1].provenance.schedule_cache_hit
 
     def test_module_level_batch_facade(self):
         network, params, observed = make_world("scale-free", 0.2, seed=8)

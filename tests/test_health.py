@@ -492,9 +492,9 @@ class TestShedOnFailing:
     ):
         from repro.errors import OverloadedError
         from repro.obs import health as obs_health
-        from repro.serve import QueryService, ServeConfig, ServeRequest
+        from repro.serve import EstimationRequest, QueryService, ServeConfig
 
-        request = ServeRequest(
+        request = EstimationRequest(
             queried=(0, 1), slot=tiny_dataset.slot, budget=5
         )
         obs_health.install(_failing_monitor())
@@ -516,9 +516,9 @@ class TestShedOnFailing:
 
     def test_shedding_disabled_by_config(self, tiny_system, tiny_dataset):
         from repro.obs import health as obs_health
-        from repro.serve import QueryService, ServeConfig, ServeRequest
+        from repro.serve import EstimationRequest, QueryService, ServeConfig
 
-        request = ServeRequest(
+        request = EstimationRequest(
             queried=(0, 1), slot=tiny_dataset.slot, budget=5
         )
         obs_health.install(_failing_monitor())

@@ -25,7 +25,7 @@ from repro.obs import DEFAULT_TIME_BUCKETS, MetricsRegistry, parse_prometheus_te
 from repro.obs.export import validate_flight_record
 from repro.obs.health import AdminServer, HealthMonitor
 from repro.obs import health as obs_health
-from repro.serve import QueryService, ServeConfig, ServeRequest
+from repro.serve import EstimationRequest, QueryService, ServeConfig
 
 
 def _get(url: str, timeout: float = 5.0):
@@ -184,7 +184,7 @@ class TestInternalErrorBlackBox:
                 config=ServeConfig(num_workers=1),
             ) as service:
                 ticket = service.submit(
-                    ServeRequest(
+                    EstimationRequest(
                         queried=(0, 1), slot=tiny_dataset.slot, budget=5
                     )
                 )

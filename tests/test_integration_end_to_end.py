@@ -43,7 +43,14 @@ class TestFullPipelineSemiSyn:
                 )
                 truth = truth_oracle_for(data.test_history, day, data.slot)
                 result = system.answer_query(
-                    data.queried, data.slot, budget=budget, market=market, truth=truth
+                    repro.EstimationRequest(
+                        queried=data.queried,
+                        slot=data.slot,
+                        budget=budget,
+                        warm_start=False,
+                    ),
+                    market=market,
+                    truth=truth,
                 )
                 truths = np.array([truth(q) for q in data.queried])
                 errors.append(
@@ -58,20 +65,33 @@ class TestFullPipelineSemiSyn:
         path = tmp_path / "rtf.npz"
         system.model.save(path)
         loaded = repro.RTFModel.load(path, data.network)
-        table = repro.CorrelationTable.precompute(loaded)
-        rebuilt = repro.CrowdRTSE(data.network, loaded, table)
+        rebuilt = repro.CrowdRTSE(data.network, store=repro.ModelStore(loaded))
         market = repro.CrowdMarket(
             data.network, data.pool, data.cost_model, rng=np.random.default_rng(0)
         )
         truth = truth_oracle_for(data.test_history, 0, data.slot)
         a = rebuilt.answer_query(
-            data.queried, data.slot, budget=20, market=market, truth=truth
+            repro.EstimationRequest(
+                queried=data.queried,
+                slot=data.slot,
+                budget=20,
+                warm_start=False,
+            ),
+            market=market,
+            truth=truth,
         )
         market2 = repro.CrowdMarket(
             data.network, data.pool, data.cost_model, rng=np.random.default_rng(0)
         )
         b = system.answer_query(
-            data.queried, data.slot, budget=20, market=market2, truth=truth
+            repro.EstimationRequest(
+                queried=data.queried,
+                slot=data.slot,
+                budget=20,
+                warm_start=False,
+            ),
+            market=market2,
+            truth=truth,
         )
         assert a.selection.selected == b.selection.selected
         assert np.allclose(a.estimates_kmh, b.estimates_kmh)
@@ -83,7 +103,14 @@ class TestFullPipelineSemiSyn:
         )
         truth = truth_oracle_for(data.test_history, 1, data.slot)
         result = system.answer_query(
-            data.queried, data.slot, budget=25, market=market, truth=truth
+            repro.EstimationRequest(
+                queried=data.queried,
+                slot=data.slot,
+                budget=25,
+                warm_start=False,
+            ),
+            market=market,
+            truth=truth,
         )
         assert set(result.selection.selected) <= set(data.worker_roads)
         assert data.cost_model.total(result.selection.selected) <= 25
@@ -164,7 +191,14 @@ class TestGMissionEndToEnd:
         )
         truth = truth_oracle_for(data.test_history, 0, data.slot)
         result = system.answer_query(
-            data.queried, data.slot, budget=16, market=market, truth=truth
+            repro.EstimationRequest(
+                queried=data.queried,
+                slot=data.slot,
+                budget=16,
+                warm_start=False,
+            ),
+            market=market,
+            truth=truth,
         )
         # Selection restricted to the worker roads (R^w ⊂ R^q).
         assert set(result.selection.selected) <= set(data.worker_roads)

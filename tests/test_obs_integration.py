@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import errors, obs
+from repro import obs
 from repro.core.gsp import GSPConfig, GSPEngine, GSPKernel, GSPSchedule
 from repro.errors import ConvergenceWarning
 
@@ -42,12 +42,13 @@ def query_world(tiny_dataset, tiny_system):
     return tiny_dataset, tiny_system, market, truth
 
 
-def run_query(query_world, **kwargs):
+def run_query(query_world):
     data, system, market, truth = query_world
-    return system.answer_query(
-        data.queried, data.slot, budget=20, market=market, truth=truth,
-        rng=np.random.default_rng(6), **kwargs,
+    request = repro.EstimationRequest(
+        queried=data.queried, slot=data.slot, budget=20,
+        rng=np.random.default_rng(6), warm_start=False,
     )
+    return system.answer_query(request, market=market, truth=truth)
 
 
 class TestSpanTree:
@@ -141,23 +142,19 @@ class TestMetricsCatalog:
         assert lookups[(("cache", "schedule"), ("result", "hit"))] == 1
 
 
-class TestDeprecatedAliases:
-    def test_gspresult_cache_flags_warn_but_work(self, small_world):
+class TestProvenanceFlags:
+    def test_cache_flags_live_on_provenance_only(self, small_world):
         engine = GSPEngine(small_world["network"])
         cfg = GSPConfig(schedule=GSPSchedule.BFS_COLORED, kernel=GSPKernel.VECTORIZED)
         first = engine.propagate(small_world["params"], {0: 30.0}, cfg)
         second = engine.propagate(small_world["params"], {0: 30.0}, cfg)
-        # The aliases warn once per process; clear the dedup registry so
-        # this test is order-independent.
-        errors.reset_deprecation_warnings("gsp.result.structure_cache_hit")
-        errors.reset_deprecation_warnings("gsp.result.schedule_cache_hit")
-        with pytest.warns(DeprecationWarning, match="structure_cache_hit"):
-            assert first.structure_cache_hit is False
-        with pytest.warns(DeprecationWarning, match="schedule_cache_hit"):
-            assert second.schedule_cache_hit is True
-        # The replacement surface carries the same information silently.
-        assert second.provenance.structure_cache_hit is True
+        # The pre-v2 top-level aliases are gone; provenance is the surface.
+        assert not hasattr(first, "structure_cache_hit")
+        assert not hasattr(first, "schedule_cache_hit")
+        assert first.provenance.structure_cache_hit is False
         assert first.provenance.schedule_cache_hit is False
+        assert second.provenance.structure_cache_hit is True
+        assert second.provenance.schedule_cache_hit is True
 
 
 class TestConvergenceWarnings:

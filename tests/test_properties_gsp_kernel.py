@@ -115,7 +115,7 @@ class TestKernelInvariants:
         warm = warm_engine.propagate(params, observed, config)
         fresh = GSPEngine(network).propagate(params, observed, config)
         if observed and len(observed) < network.n_roads:
-            assert warm.structure_cache_hit and warm.schedule_cache_hit
+            assert warm.provenance.structure_cache_hit and warm.provenance.schedule_cache_hit
         assert np.array_equal(warm.speeds, cold.speeds)
         assert np.array_equal(warm.speeds, fresh.speeds)
         assert warm.sweeps == cold.sweeps
@@ -144,8 +144,8 @@ class TestCacheInvalidation:
         result = engine.propagate(shifted, observed, config)
         # New parameters miss the structure cache but reuse the schedule
         # (layers depend on topology + R^c only).
-        assert not result.structure_cache_hit
-        assert result.schedule_cache_hit
+        assert not result.provenance.structure_cache_hit
+        assert result.provenance.schedule_cache_hit
         fresh = GSPEngine(network).propagate(shifted, observed, config)
         assert np.array_equal(result.speeds, fresh.speeds)
         assert engine.stats.structure_misses == 2
@@ -160,8 +160,8 @@ class TestCacheInvalidation:
         engine.propagate(params, observed, config)
         smaller = dict(list(observed.items())[:-1])
         result = engine.propagate(params, smaller, config)
-        assert result.structure_cache_hit
-        assert not result.schedule_cache_hit
+        assert result.provenance.structure_cache_hit
+        assert not result.provenance.schedule_cache_hit
         fresh = GSPEngine(network).propagate(params, smaller, config)
         assert np.array_equal(result.speeds, fresh.speeds)
 
@@ -193,7 +193,7 @@ class TestCacheInvalidation:
             engine.propagate(variant, observed, config)
         # The first variant was evicted: running it again is a miss.
         result = engine.propagate(variants[0], observed, config)
-        assert not result.structure_cache_hit
+        assert not result.provenance.structure_cache_hit
         assert engine.stats.structure_misses == 4
 
     def test_structure_matches_slot_export(self):

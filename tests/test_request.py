@@ -1,20 +1,16 @@
-"""The canonical EstimationRequest and its deprecated spellings.
+"""The canonical EstimationRequest.
 
-One request type (ISSUE 9) now crosses the pipeline, the serving layer,
-the workload format and the CLI.  These tests pin its contract:
+One request type now crosses the pipeline, the serving layer, the
+workload format and the CLI.  These tests pin its contract:
 
-* construction-time validation (deadline, precision) raises
-  :class:`~repro.errors.ModelError`, not a deep solver error;
-* the legacy ``answer_query(queried, slot, budget, ...)`` spelling warns
-  once per process and returns numbers bit-identical to a canonical
-  request with ``warm_start=False``;
-* :class:`~repro.serve.ServeRequest` is a deprecated alias whose only
-  behavioural difference is the pre-v2 ``warm_start=False`` default.
+* construction-time validation (budget, theta, selector, deadline,
+  precision) raises :class:`~repro.errors.ModelError`, before a request
+  can reach a serving worker;
+* :meth:`~repro.core.pipeline.CrowdRTSE.answer_query` takes only a
+  request — the pre-v2 loose-argument spelling is gone.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -22,9 +18,9 @@ import pytest
 import repro
 from repro import errors
 from repro.core.gsp import PrecisionPolicy
-from repro.core.request import EstimationRequest, as_request
+from repro.core.pipeline import SELECTORS
+from repro.core.request import EstimationRequest
 from repro.errors import ModelError
-from repro.serve import ServeRequest
 
 
 def _market(data, seed=0):
@@ -66,6 +62,28 @@ class TestConstruction:
     def test_warm_start_defaults_on(self):
         assert EstimationRequest(queried=(1,), slot=0, budget=5).warm_start is True
 
+    @pytest.mark.parametrize("budget", [0, -5, float("nan")])
+    def test_nonpositive_budget_rejected(self, budget):
+        with pytest.raises(ModelError, match="budget"):
+            EstimationRequest(queried=(1,), slot=0, budget=budget)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.1, 1.5, float("nan")])
+    def test_theta_outside_unit_interval_rejected(self, theta):
+        with pytest.raises(ModelError, match="theta"):
+            EstimationRequest(queried=(1,), slot=0, budget=5, theta=theta)
+
+    def test_theta_one_accepted(self):
+        assert EstimationRequest(queried=(1,), slot=0, budget=5, theta=1.0).theta == 1.0
+
+    def test_unknown_selector_rejected(self):
+        with pytest.raises(ModelError, match="selector"):
+            EstimationRequest(queried=(1,), slot=0, budget=5, selector="greedy")
+
+    @pytest.mark.parametrize("selector", [*SELECTORS, "random"])
+    def test_every_pipeline_selector_accepted(self, selector):
+        req = EstimationRequest(queried=(1,), slot=0, budget=5, selector=selector)
+        assert req.selector == selector
+
 
 class TestBinding:
     def test_bound_fills_unset_fields(self, tiny_dataset):
@@ -88,24 +106,17 @@ class TestBinding:
         )
         assert req.bound(_market(tiny_dataset, 1), truth) is req
 
-    def test_as_request_passthrough_and_coercion(self):
-        req = EstimationRequest(queried=(1, 2), slot=3, budget=10)
-        assert as_request(req) is req
-        coerced = as_request([4, 5], slot=7, budget=12.0, warm_start=False)
-        assert coerced.queried == (4, 5)
-        assert coerced.slot == 7 and coerced.warm_start is False
-
 
 class TestAnswerQuerySpellings:
     def test_request_plus_legacy_args_rejected(self, tiny_system, tiny_dataset):
         req = EstimationRequest(
             queried=tiny_dataset.queried, slot=tiny_dataset.slot, budget=10
         )
-        with pytest.raises(ModelError, match="not both"):
+        with pytest.raises(TypeError, match="slot"):
             tiny_system.answer_query(req, slot=tiny_dataset.slot)
 
     def test_legacy_spelling_without_slot_budget_rejected(self, tiny_system):
-        with pytest.raises(ModelError, match="legacy"):
+        with pytest.raises(ModelError, match="removed in v2.0"):
             tiny_system.answer_query([1, 2, 3])
 
     def test_missing_market_or_truth_rejected(self, tiny_system, tiny_dataset):
@@ -114,48 +125,6 @@ class TestAnswerQuerySpellings:
         )
         with pytest.raises(ModelError, match="market"):
             tiny_system.answer_query(req)
-
-    def test_legacy_spelling_warns_once(self, tiny_system, tiny_dataset):
-        truth = repro.truth_oracle_for(
-            tiny_dataset.test_history, 0, tiny_dataset.slot
-        )
-        errors.reset_deprecation_warnings("pipeline.answer_query_kwargs")
-        with pytest.warns(DeprecationWarning, match="EstimationRequest"):
-            tiny_system.answer_query(
-                tiny_dataset.queried,
-                tiny_dataset.slot,
-                budget=10,
-                market=_market(tiny_dataset),
-                truth=truth,
-            )
-
-    def test_legacy_matches_canonical_warm_start_off(
-        self, tiny_system, tiny_dataset
-    ):
-        """The shim's numbers are bit-identical to the canonical spelling."""
-        truth = repro.truth_oracle_for(
-            tiny_dataset.test_history, 0, tiny_dataset.slot
-        )
-        legacy = tiny_system.answer_query(
-            tiny_dataset.queried,
-            tiny_dataset.slot,
-            budget=10,
-            market=_market(tiny_dataset),
-            truth=truth,
-        )
-        canonical = tiny_system.answer_query(
-            EstimationRequest(
-                queried=tiny_dataset.queried,
-                slot=tiny_dataset.slot,
-                budget=10,
-                warm_start=False,
-            ),
-            market=_market(tiny_dataset),
-            truth=truth,
-        )
-        assert legacy.probes == canonical.probes
-        assert np.array_equal(legacy.estimates_kmh, canonical.estimates_kmh)
-        assert np.array_equal(legacy.full_field_kmh, canonical.full_field_kmh)
 
     def test_request_deadline_enforced(self, tiny_system, tiny_dataset):
         truth = repro.truth_oracle_for(
@@ -172,16 +141,3 @@ class TestAnswerQuerySpellings:
                 req, market=_market(tiny_dataset), truth=truth
             )
 
-
-class TestServeRequestShim:
-    def test_is_estimation_request_with_warm_start_off(self):
-        errors.reset_deprecation_warnings("serve.serve_request")
-        with pytest.warns(DeprecationWarning, match="ServeRequest"):
-            req = ServeRequest(queried=(1, 2), slot=3, budget=10)
-        assert isinstance(req, EstimationRequest)
-        assert req.warm_start is False
-
-    def test_field_order_matches_base(self):
-        base = [f.name for f in dataclasses.fields(EstimationRequest)]
-        sub = [f.name for f in dataclasses.fields(ServeRequest)]
-        assert base == sub

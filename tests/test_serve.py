@@ -8,6 +8,8 @@ degraded fallback's provable equivalence to the Per baseline.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,6 @@ from repro.serve import (
     QueryService,
     ReplayReport,
     ServeConfig,
-    ServeRequest,
-    WorkloadItem,
     load_workload,
     replay,
     save_workload,
@@ -68,7 +68,7 @@ def make_request(world, slot=None, seed=0, **overrides):
         rng=np.random.default_rng(seed),
     )
     kwargs.update(overrides)
-    return ServeRequest(**kwargs)
+    return EstimationRequest(warm_start=False, **kwargs)
 
 
 class CountingMarket:
@@ -137,12 +137,15 @@ class TestAdmission:
         with QueryService(serve_world["system"]) as service:
             served = service.serve(request)
         direct = serve_world["system"].answer_query(
-            request.queried,
-            request.slot,
-            budget=request.budget,
+            repro.EstimationRequest(
+                queried=request.queried,
+                slot=request.slot,
+                budget=request.budget,
+                rng=np.random.default_rng(11),
+                warm_start=False,
+            ),
             market=make_market(serve_world["data"], 11),
             truth=request.truth,
-            rng=np.random.default_rng(11),
         )
         np.testing.assert_allclose(served.estimates_kmh, direct.estimates_kmh)
         assert served.model_version == direct.model_version
@@ -333,14 +336,17 @@ class TestCoalescing:
 
         for k, (request, result) in enumerate(zip(requests, served)):
             oracle = serve_world["system"].answer_query(
-                request.queried,
-                request.slot,
-                budget=request.budget,
+                repro.EstimationRequest(
+                    queried=request.queried,
+                    slot=request.slot,
+                    budget=request.budget,
+                    theta=request.theta,
+                    selector=request.selector,
+                    rng=np.random.default_rng(100 + k),
+                    warm_start=False,
+                ),
                 market=make_market(data, 100 + k),
                 truth=request.truth,
-                theta=request.theta,
-                selector=request.selector,
-                rng=np.random.default_rng(100 + k),
             )
             np.testing.assert_allclose(
                 result.estimates_kmh, oracle.estimates_kmh, rtol=1e-10
@@ -392,10 +398,10 @@ class TestExceptionBoundary:
         assert isinstance(excinfo.value.original, TypeError)
 
     def test_repro_error_passes_through_untouched(self, serve_world):
-        request = make_request(serve_world, selector="no-such-selector")
+        request = dataclasses.replace(make_request(serve_world), slot=999_999)
         with QueryService(serve_world["system"]) as service:
             ticket = service.submit(request)
-            with pytest.raises(errors.SelectionError, match="no-such-selector"):
+            with pytest.raises(errors.NotFittedError, match="999999"):
                 ticket.result(timeout=60)
 
 
@@ -449,35 +455,13 @@ class TestWorkload:
         save_workload(items, path)
         assert load_workload(path) == items
 
-    def test_legacy_workload_item_still_loads(self, tmp_path):
-        errors.reset_deprecation_warnings("serve.workload_item")
-        with pytest.warns(DeprecationWarning):
-            items = [
-                WorkloadItem(
-                    slot=94, queried=(4,), budget=10.0, theta=0.9,
-                    selector="ratio", deadline_ms=250.0, day=1,
-                ),
-            ]
-        path = tmp_path / "trace.jsonl"
-        save_workload(items, path)
-        loaded = load_workload(path)
-        assert loaded == [items[0].as_request()]
-        assert loaded[0].deadline_s == pytest.approx(0.25)
-        # The canonical writer never emits the deprecated key.
-        assert "deadline_ms" not in path.read_text()
-
-    def test_deadline_ms_key_still_loads_and_conflicts_rejected(self, tmp_path):
+    def test_deadline_ms_key_rejected(self, tmp_path):
+        """The pre-v2 key is gone: a trace carrying it fails loudly."""
         path = tmp_path / "trace.jsonl"
         path.write_text(
             '{"slot": 1, "queried": [1], "budget": 5, "deadline_ms": 500}\n'
         )
-        loaded = load_workload(path)
-        assert loaded[0].deadline_s == pytest.approx(0.5)
-        path.write_text(
-            '{"slot": 1, "queried": [1], "budget": 5, '
-            '"deadline_ms": 500, "deadline_s": 0.5}\n'
-        )
-        with pytest.raises(errors.DatasetError, match="both deadline_s"):
+        with pytest.raises(errors.DatasetError, match="unknown keys.*deadline_ms"):
             load_workload(path)
 
     def test_bad_precision_rejected_as_dataset_error(self, tmp_path):
@@ -487,6 +471,36 @@ class TestWorkload:
         )
         with pytest.raises(errors.DatasetError, match="malformed request"):
             load_workload(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"slot": 1, "queried": "37", "budget": 5}',
+            '{"slot": 1, "queried": [1, "2"], "budget": 5}',
+            '{"slot": 1, "queried": [1], "budget": 5, "warm_start": "false"}',
+            '{"slot": 93.9, "queried": [1], "budget": 5}',
+            '{"slot": true, "queried": [1], "budget": 5}',
+            '{"slot": 1, "queried": [1], "budget": "5"}',
+            '{"slot": 1, "queried": [1], "budget": -5}',
+            '{"slot": 1, "queried": [1], "budget": 5, "theta": 1.5}',
+            '{"slot": 1, "queried": [1], "budget": 5, "selector": 3}',
+            '{"slot": 1, "queried": [1], "budget": 5, "selector": "genie"}',
+            '{"slot": 1, "queried": [1], "budget": 5, "day": 0.5}',
+        ],
+    )
+    def test_mistyped_values_rejected_as_dataset_error(self, tmp_path, line):
+        """Values are never coerced: "37" is not roads (3, 7), "false" is
+        not True, 93.9 is not slot 93 — each fails naming its line."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"slot": 1, "queried": [1], "budget": 5}\n' + line + "\n")
+        with pytest.raises(errors.DatasetError, match=r"trace\.jsonl:2: malformed"):
+            load_workload(path)
+
+    def test_synthesize_carries_deadline_s(self):
+        items = synthesize_workload(
+            [93], list(range(10)), n_requests=4, budget=10, deadline_s=0.25,
+        )
+        assert {i.deadline_s for i in items} == {0.25}
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -532,11 +546,12 @@ class TestWorkload:
         )
 
         def bind(item):
-            return ServeRequest(
+            return EstimationRequest(
                 queried=item.queried,
                 slot=item.slot,
                 budget=item.budget,
                 truth=serve_world["truths"][item.slot],
+                warm_start=False,
             )
 
         market = make_market(serve_world["data"], 7)

@@ -13,8 +13,7 @@ import pytest
 
 import repro
 from repro import errors, obs
-from repro.backends.rtf_gsp import RTFGSPState
-from repro.serve import QueryService, ServeConfig, ServeRequest, ShadowStats
+from repro.serve import EstimationRequest, QueryService, ServeConfig, ShadowStats
 
 N_SERVE_SLOTS = 2
 ATTACHED = ("gmrf", "lsmrn", "per")
@@ -32,10 +31,6 @@ def serve_world(tiny_dataset):
     system = repro.CrowdRTSE.fit(data.network, data.train_history, slots=slots)
     for name in ATTACHED:
         system.attach_backend(name, history=data.train_history)
-    system.attach_backend(
-        "rtf_gsp",
-        state=RTFGSPState(params={s: system.model.slot(s) for s in slots}),
-    )
     truths = {s: repro.truth_oracle_for(data.test_history, 0, s) for s in slots}
     return {"data": data, "system": system, "slots": slots, "truths": truths}
 
@@ -58,7 +53,7 @@ def make_request(world, slot=None, seed=0, **overrides):
         rng=np.random.default_rng(seed),
     )
     kwargs.update(overrides)
-    return ServeRequest(**kwargs)
+    return EstimationRequest(warm_start=False, **kwargs)
 
 
 class CountingMarket:
@@ -196,12 +191,15 @@ class TestBackendCoalescing:
         service.close()
 
         oracle = serve_world["system"].answer_query(
-            served.request.queried,
-            served.request.slot,
-            budget=served.request.budget,
+            repro.EstimationRequest(
+                queried=served.request.queried,
+                slot=served.request.slot,
+                budget=served.request.budget,
+                rng=np.random.default_rng(300),
+                warm_start=False,
+            ),
             market=make_market(data, 300),
             truth=served.request.truth,
-            rng=np.random.default_rng(300),
         )
         np.testing.assert_allclose(
             served.estimates_kmh, oracle.estimates_kmh, rtol=1e-10
@@ -209,13 +207,13 @@ class TestBackendCoalescing:
 
 
 class TestShadowMode:
-    def _serve_with_shadow(self, serve_world, shadow, n=3):
+    def _serve_with_shadow(self, serve_world, shadow, n=3, **overrides):
         config = ServeConfig(num_workers=1, shadow_backend=shadow)
         with QueryService(serve_world["system"], config=config) as service:
             results = [
-                service.submit(make_request(serve_world, seed=40 + k)).result(
-                    timeout=60
-                )
+                service.submit(
+                    make_request(serve_world, seed=40 + k, **overrides)
+                ).result(timeout=60)
                 for k in range(n)
             ]
         # Tickets resolve *before* shadow scoring by design; only the
@@ -284,9 +282,14 @@ class TestShadowMode:
 
     def test_shadow_skips_self_comparison(self, serve_world):
         """Challenger == served backend is a no-op, not a score of 0."""
-        _, stats = self._serve_with_shadow(serve_world, "rtf_gsp")
+        results, stats = self._serve_with_shadow(serve_world, "gmrf", backend="gmrf")
+        assert all(r.result.backend == "gmrf" for r in results)
         assert stats.scored == 0
         assert stats.errors == 0
+
+    def test_pipeline_path_is_not_a_shadow_challenger(self):
+        with pytest.raises(errors.ServeError, match="rtf_gsp"):
+            ServeConfig(shadow_backend="rtf_gsp")
 
     def test_shadow_stats_property_returns_copy(self, serve_world):
         _, stats = self._serve_with_shadow(serve_world, "gmrf", n=1)

@@ -12,14 +12,16 @@ stack dump instead of hanging the job.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import threading
-from typing import List
+from typing import Dict, List
 
 import numpy as np
 import pytest
 
 import repro
-from repro.serve import QueryService, ServeConfig, ServeRequest
+from repro.serve import EstimationRequest, QueryService, ServeConfig
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,7 @@ def world(tiny_dataset):
 
 def _request(world, seed):
     data = world["data"]
-    return ServeRequest(
+    return EstimationRequest(
         queried=tuple(data.queried[:6]),
         slot=data.slot,
         budget=12,
@@ -49,6 +51,7 @@ def _request(world, seed):
         ),
         truth=world["truth"],
         rng=np.random.default_rng(seed),
+        warm_start=False,
     )
 
 
@@ -183,3 +186,104 @@ class TestServeUnderRefresh:
         for ticket in tickets:
             ticket.result(timeout=120)
         service.close()
+
+
+class TestProbeLockScope:
+    """With ``serialize_probes`` the probe lock covers OCS + probing only.
+
+    The estimator must run with the lock free however the batch is
+    shaped: a one-request batch once ran the whole pipeline under the
+    lock while a multi-request batch released it before GSP.
+    """
+
+    @pytest.fixture(scope="class")
+    def system(self, tiny_dataset):
+        system = repro.CrowdRTSE.fit(
+            tiny_dataset.network, tiny_dataset.train_history,
+            slots=[tiny_dataset.slot],
+        )
+        system.attach_backend("gmrf", history=tiny_dataset.train_history)
+        return system
+
+    @pytest.mark.parametrize("n_buckets", [1, 3])
+    @pytest.mark.parametrize("backend", ["rtf_gsp", "gmrf"])
+    def test_estimator_runs_with_probe_lock_free(
+        self, system, world, monkeypatch, n_buckets, backend
+    ):
+        service = QueryService(
+            system, config=ServeConfig(num_workers=1), autostart=False
+        )
+        if backend == "rtf_gsp":
+            target, method = system.gsp_engine, "propagate"
+        else:
+            target, method = system.store.backend_instance(backend), "estimate"
+        original = getattr(target, method)
+        lock_held: List[bool] = []
+
+        def spy(*args, **kwargs):
+            lock_held.append(service._probe_lock.locked())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, method, spy)
+        # Distinct markets make distinct buckets of one same-slot batch.
+        tickets = [
+            service.submit(
+                dataclasses.replace(_request(world, seed=k), backend=backend)
+            )
+            for k in range(n_buckets)
+        ]
+        service.start()
+        results = [ticket.result(timeout=60) for ticket in tickets]
+        service.close()
+        assert not any(result.degraded for result in results)
+        assert lock_held == [False] * n_buckets
+
+
+class TestBatchPartition:
+    """A worker takes a slot's whole queued backlog, or none of it."""
+
+    def test_queued_duplicates_execute_once_across_workers(self, world):
+        """Four workers race for one slot's backlog of duplicates.
+
+        Popping the leader and draining its followers under one lock
+        keeps the backlog in one batch, so each distinct request probes
+        its market once.  Were the lock released in between, a second
+        worker could take part of the backlog and probe a shared market
+        again.
+        """
+        n_unique, copies = 4, 4
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(15):
+                probes: Dict[int, int] = {}
+                requests = []
+                for k in range(n_unique):
+                    request = _request(world, seed=100 * round_ + k)
+                    inner = request.market.probe
+
+                    def probe(*args, _k=k, _inner=inner, **kwargs):
+                        probes[_k] = probes.get(_k, 0) + 1
+                        return _inner(*args, **kwargs)
+
+                    request.market.probe = probe
+                    requests.append(request)
+                service = QueryService(
+                    world["system"],
+                    config=ServeConfig(
+                        num_workers=4, max_coalesce=n_unique * copies
+                    ),
+                    autostart=False,
+                )
+                tickets = [
+                    service.submit(request)
+                    for _ in range(copies)
+                    for request in requests
+                ]
+                service.start()
+                for ticket in tickets:
+                    ticket.result(timeout=60)
+                service.close()
+                assert probes == {k: 1 for k in range(n_unique)}, round_
+        finally:
+            sys.setswitchinterval(previous)

@@ -114,21 +114,6 @@ class TestLazyDerivation:
         snapshot.correlation_matrix(91)
         assert store.stats.correlation_derivations == 3
 
-    def test_seeded_matrix_is_not_rederived(self, store, multi_world):
-        snapshot = store.current()
-        params = multi_world["model"].slot(91)
-        matrix = road_road_correlation_matrix(
-            multi_world["network"], params.rho, PathWeightMode.LOG
-        )
-        store.seed_correlation(snapshot.digest(91), matrix)
-        assert snapshot.correlation_matrix(91) is matrix
-        assert store.stats.correlation_derivations == 0
-        assert store.stats.correlation_hits == 1
-
-    def test_seed_shape_validated(self, store):
-        with pytest.raises(ModelError):
-            store.seed_correlation(b"x" * 20, np.zeros((2, 2)))
-
 
 class TestSnapshotCorrelations:
     def test_is_a_correlation_table(self, store):

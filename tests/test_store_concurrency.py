@@ -130,12 +130,15 @@ class TestConcurrentServing:
                     rng=np.random.default_rng(seed),
                 )
                 result = system.answer_query(
-                    data.queried,
-                    data.slot,
-                    budget=15,
+                    repro.EstimationRequest(
+                        queried=data.queried,
+                        slot=data.slot,
+                        budget=15,
+                        rng=np.random.default_rng(seed),
+                        warm_start=False,
+                    ),
                     market=market,
                     truth=truth,
-                    rng=np.random.default_rng(seed),
                 )
                 if not np.all(np.isfinite(result.estimates_kmh)):
                     errors.append("non-finite estimates under refresh")

@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro import obs
 from repro.core.request import EstimationRequest
+from repro.core.store import WARM_SEEDS_PER_SLOT
 
 
 @pytest.fixture()
@@ -90,6 +91,33 @@ class TestOutcomes:
         _answer(system, tiny_dataset, warm_start=True)
         outcomes = _outcomes(metrics)
         assert outcomes == {"disabled": 1, "miss": 1}
+
+
+class TestSeedsPerSelection:
+    def test_each_selection_keeps_its_own_seed(self, system, tiny_dataset, metrics):
+        # Two selections in one slot alternate: each finds its own seed
+        # on the second round instead of evicting the other's.
+        for _ in range(2):
+            _answer(system, tiny_dataset, budget=15)
+            _answer(system, tiny_dataset, budget=25)
+        assert _outcomes(metrics) == {"miss": 1, "mismatch": 1, "used": 2}
+
+    def test_seeds_per_slot_are_bounded(self, system, tiny_dataset):
+        snapshot = system.store.current()
+        slot = tiny_dataset.slot
+        field = np.zeros(tiny_dataset.network.n_roads)
+        keys = [frozenset({i}) for i in range(WARM_SEEDS_PER_SLOT + 1)]
+        for key in keys:
+            snapshot.store_warm_field(slot, key, field)
+        # The least recently stored seed went; the others all still hit.
+        assert snapshot.warm_field(slot, keys[0]) == (None, "mismatch")
+        for key in keys[1:]:
+            assert snapshot.warm_field(slot, key)[1] == "hit"
+        # Re-storing a selection replaces its seed instead of adding one.
+        snapshot.store_warm_field(slot, keys[1], field + 1.0)
+        seed, outcome = snapshot.warm_field(slot, keys[1])
+        assert outcome == "hit" and seed[0] == 1.0
+        assert snapshot.warm_field(slot, keys[2])[1] == "hit"
 
 
 class TestEquivalence:

@@ -14,7 +14,9 @@ project:
   unique-ish method names project-wide);
 * constructor-passed locks are aliased with a union-find
   (``Counter(name, key, self._lock)`` makes ``Counter._lock`` *be* the
-  registry lock), and :meth:`CallGraph.fixpoint` generalizes RA002's
+  registry lock), as are locks passed to a lock-named parameter the
+  callee enters (``answer_query(..., probe_lock=self._probe_lock)``
+  makes ``CrowdRTSE.answer_query.probe_lock`` *be* the service lock), and :meth:`CallGraph.fixpoint` generalizes RA002's
   may-acquire propagation to any caller-absorbs-callee property
   (may-block for RA012, blocking-path reachability for RA008, ...).
 
@@ -36,7 +38,9 @@ from tools.analyze.locks import (
     ClassLockInfo,
     collect_class_locks,
     collect_module_locks,
+    lock_name_options,
     module_lock_in_with,
+    param_lock_in_with,
     with_item_lock_attrs,
 )
 
@@ -136,6 +140,8 @@ class FunctionInfo:
         default_factory=list
     )
     calls: List[CallSite] = dataclasses.field(default_factory=list)
+    #: lock-named parameter -> lock node id, for parameters the body enters
+    param_locks: Dict[str, str] = dataclasses.field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -327,6 +333,9 @@ def build_callgraph(project: Project) -> CallGraph:
                 functions_by_name.setdefault(stmt.name, []).append(key)
                 _summarize(func, module_locks[module.relpath])
 
+    for func in functions.values():
+        for node in func.param_locks.values():
+            kinds.setdefault(node, "lock")
     _alias_constructor_locks(project, class_infos, module_locks, aliases)
     graph = CallGraph(
         project=project,
@@ -340,6 +349,7 @@ def build_callgraph(project: Project) -> CallGraph:
         module_locks=module_locks,
         key_of_node=key_of_node,
     )
+    _alias_parameter_locks(graph)
     _CACHE[project] = graph
     return graph
 
@@ -348,6 +358,7 @@ def _summarize(func: FunctionInfo, mod_locks: Dict[str, str]) -> None:
     """Fill acquires/nested/calls by walking the function body once."""
     module = func.module
     info = func.class_info
+    params = set(func.all_param_names())
 
     def lock_targets(item: ast.withitem) -> Set[str]:
         nodes: Set[str] = set()
@@ -357,6 +368,10 @@ def _summarize(func: FunctionInfo, mod_locks: Dict[str, str]) -> None:
         name = module_lock_in_with(item, mod_locks)
         if name is not None:
             nodes.add(lock_node(module, None, name))
+        param = param_lock_in_with(item, params)
+        if param is not None:
+            func.param_locks[param] = f"{func.key}.{param}"
+            nodes.add(func.param_locks[param])
         return nodes
 
     def visit(node: ast.AST, held: Tuple[str, ...]) -> None:
@@ -481,6 +496,35 @@ def _alias_one_call(
                 aliases.union(attr_node, caller_node)
         elif isinstance(arg, ast.Name) and arg.id in module_locks.get(module.relpath, {}):
             aliases.union(attr_node, f"{module.relpath}::{arg.id}")
+
+
+def _alias_parameter_locks(graph: CallGraph) -> None:
+    """Union each entered lock parameter with the class locks callers pass."""
+    for func in graph.functions.values():
+        caller_info = func.class_info
+        if caller_info is None:
+            continue
+        for site in func.calls:
+            for callee_key in graph.resolve(site.desc):
+                callee = graph.functions[callee_key]
+                if not callee.param_locks:
+                    continue
+                bound = bind_call_args(site.node, callee)
+                for param, node in callee.param_locks.items():
+                    arg = bound.get(param)
+                    if arg is None:
+                        continue
+                    for option in lock_name_options(arg):
+                        attr = self_attr_path(option)
+                        if attr and "." not in attr and attr in caller_info.attrs:
+                            graph.aliases.union(
+                                node,
+                                lock_node(
+                                    func.module,
+                                    caller_info.node.name,
+                                    caller_info.canonical_attr(attr),
+                                ),
+                            )
 
 
 def bind_call_args(

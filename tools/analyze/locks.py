@@ -8,8 +8,11 @@ Identifies, per module:
   lock and parameter-assigned attributes (``self._lock = lock``) marked
   ``external`` so instances can later be aliased to the lock their
   constructor receives,
-* lock-returning helper methods (``return self._probe_lock``), so
-  ``with self._maybe_probe_lock():`` counts as an acquisition.
+* lock-returning helper methods (``return self._lock``), so
+  ``with self._current_lock():`` counts as an acquisition,
+* lock-named function parameters used as a ``with`` item, so a lock a
+  caller hands over (``answer_query(..., probe_lock=self._probe_lock)``)
+  counts as acquired where the callee enters it.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class ClassLockInfo:
     attrs: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: condition attr -> the lock attr it wraps (same class)
     condition_wraps: Dict[str, str] = dataclasses.field(default_factory=dict)
-    #: method name -> lock attrs it may return (``_maybe_probe_lock`` style)
+    #: method name -> lock attrs it may return (``_current_lock`` style)
     lock_returners: Dict[str, Set[str]] = dataclasses.field(default_factory=dict)
     #: external lock attr -> __init__ parameter name it was assigned from
     attr_from_param: Dict[str, str] = dataclasses.field(default_factory=dict)
@@ -151,7 +154,7 @@ def with_item_lock_attrs(
     """Canonical lock attrs acquired by one ``with`` item of a method.
 
     Handles ``with self._lock:``, Condition aliases, and lock-returning
-    helper calls (``with self._maybe_probe_lock():``).
+    helper calls (``with self._current_lock():``).
     """
     expr = item.context_expr
     attr = self_attr_path(expr)
@@ -176,6 +179,33 @@ def module_lock_in_with(
         tail = dotted.rsplit(".", 1)[-1]
         if tail in module_locks and dotted.count(".") <= 1:
             return tail
+    return None
+
+
+def lock_name_options(expr: ast.AST) -> List[ast.AST]:
+    """The expressions a ``with`` item may enter.
+
+    The optional-lock spelling ``lock if lock is not None else
+    nullcontext()`` enters either branch, so both are returned.
+    """
+    if isinstance(expr, ast.IfExp):
+        return [expr.body, expr.orelse]
+    return [expr]
+
+
+def param_lock_in_with(item: ast.withitem, params: Set[str]) -> Optional[str]:
+    """Lock-named parameter acquired by a ``with`` item, if any.
+
+    ``with probe_lock:`` and ``with probe_lock if probe_lock is not None
+    else nullcontext():`` both acquire the ``probe_lock`` parameter.
+    """
+    for option in lock_name_options(item.context_expr):
+        if (
+            isinstance(option, ast.Name)
+            and option.id in params
+            and looks_like_lock_name(option.id)
+        ):
+            return option.id
     return None
 
 

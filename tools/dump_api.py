@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Dump the frozen v1 public API surface of :mod:`repro`.
+"""Dump the frozen v2 public API surface of :mod:`repro`.
 
 Emits one line per public name in ``repro.__all__``::
 
@@ -7,7 +7,7 @@ Emits one line per public name in ``repro.__all__``::
     repro.CrowdRTSE.answer_query method (self, queried, slot, budget, *, market=?, ...)
     repro.propagate function (network, slot_params, correlations, probes, *, config=?)
 
-The output is the *contract*: ``docs/api_surface_v1.txt`` holds the
+The output is the *contract*: ``docs/api_surface_v2.txt`` holds the
 golden copy and CI diffs a fresh dump against it, so any accidental
 rename, removal, or signature change fails loudly while additions are
 an explicit, reviewed edit to the golden file.
@@ -37,7 +37,7 @@ import inspect
 import sys
 from pathlib import Path
 
-GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "api_surface_v1.txt"
+GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "api_surface_v2.txt"
 
 
 def _format_params(obj) -> str:
