@@ -97,10 +97,10 @@ def _add_latency_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("latency")
     group.add_argument(
         "--precision", choices=("float64", "float32"), default=None,
-        help="GSP sweep precision: float64 is the bit-exact reference, "
-        "float32 the fast opt-in mode (documented tolerance contract; "
-        "see docs/API.md).  Default: float64, or whatever the trace "
-        "line carries",
+        help="deprecated: GSP always sweeps in float64; float32 only "
+        "moves the default bfs schedule to bfs-parallel and warns (see "
+        "docs/API.md).  Default: float64, or whatever the trace line "
+        "carries",
     )
     group.add_argument(
         "--no-warm-start", action="store_true",
@@ -564,67 +564,67 @@ def cmd_stream(args: argparse.Namespace) -> int:
     batch_index = 0
     started = time.perf_counter()
     admin = _start_admin(args, system.store)
-    with serving.QueryService(
-        system, market=market, config=serving.ServeConfig(num_workers=2)
-    ) as service:
-        with streaming.StreamRefresher(system, config) as refresher:
-            for day, batches in enumerate(day_batches):
-                seen = (
-                    refresher.log.accepted,
-                    refresher.log.duplicates,
-                    refresher.log.late,
-                )
-                for batch in batches:
-                    if batch_index % query_step == 0 and len(tickets) < args.queries:
-                        truth_day = min(day, data.test_history.n_days - 1)
-                        if truth_day not in oracles:
-                            oracles[truth_day] = repro.truth_oracle_for(
-                                data.test_history, truth_day, data.slot
-                            )
-                        tickets.append(
-                            service.submit(
-                                repro.EstimationRequest(
-                                    queried=tuple(data.queried),
-                                    slot=data.slot,
-                                    budget=args.budget,
-                                    truth=oracles[truth_day],
-                                    rng=np.random.default_rng(args.seed + day),
+    try:
+        with serving.QueryService(
+            system, market=market, config=serving.ServeConfig(num_workers=2)
+        ) as service:
+            with streaming.StreamRefresher(system, config) as refresher:
+                for day, batches in enumerate(day_batches):
+                    seen = (
+                        refresher.log.accepted,
+                        refresher.log.duplicates,
+                        refresher.log.late,
+                    )
+                    for batch in batches:
+                        if batch_index % query_step == 0 and len(tickets) < args.queries:
+                            truth_day = min(day, data.test_history.n_days - 1)
+                            if truth_day not in oracles:
+                                oracles[truth_day] = repro.truth_oracle_for(
+                                    data.test_history, truth_day, data.slot
+                                )
+                            tickets.append(
+                                service.submit(
+                                    repro.EstimationRequest(
+                                        queried=tuple(data.queried),
+                                        slot=data.slot,
+                                        budget=args.budget,
+                                        truth=oracles[truth_day],
+                                        rng=np.random.default_rng(args.seed + day),
+                                    )
                                 )
                             )
-                        )
-                    refresher.ingest(batch)
-                    total_events += len(batch)
-                    batch_index += 1
-                # End-of-day flush: the feed goes quiet, so publish the
-                # trailing open slots instead of waiting for tomorrow's
-                # watermark.
-                refresher.drain()
-                print(
-                    f"day {day}: {refresher.log.accepted - seen[0]} accepted, "
-                    f"{refresher.log.duplicates - seen[1]} duplicate, "
-                    f"{refresher.log.late - seen[2]} late; "
-                    f"version {system.store.version}"
-                )
-            stats = refresher.close()
-        served = 0
-        for ticket in tickets:
-            result = ticket.result(timeout=60.0)
-            if np.all(np.isfinite(result.estimates_kmh)):
-                served += 1
-    elapsed = time.perf_counter() - started
-    print(
-        f"stream: {total_events} events in {elapsed:.2f}s "
-        f"({total_events / max(elapsed, 1e-9):.0f} events/s), "
-        f"{adapter.total_dropped} adapter drops"
-    )
-    print(
-        f"refresh: {stats.publishes} publishes ({stats.published_slots} slots), "
-        f"final version {system.store.version}, "
-        f"max publish lag {stats.max_publish_lag_s:.0f}s (event time), "
-        f"{stats.backpressure_waits} backpressure waits"
-    )
-    print(f"serve: {served}/{len(tickets)} concurrent queries answered")
-    try:
+                        refresher.ingest(batch)
+                        total_events += len(batch)
+                        batch_index += 1
+                    # End-of-day flush: the feed goes quiet, so publish the
+                    # trailing open slots instead of waiting for tomorrow's
+                    # watermark.
+                    refresher.drain()
+                    print(
+                        f"day {day}: {refresher.log.accepted - seen[0]} accepted, "
+                        f"{refresher.log.duplicates - seen[1]} duplicate, "
+                        f"{refresher.log.late - seen[2]} late; "
+                        f"version {system.store.version}"
+                    )
+                stats = refresher.close()
+            served = 0
+            for ticket in tickets:
+                result = ticket.result(timeout=60.0)
+                if np.all(np.isfinite(result.estimates_kmh)):
+                    served += 1
+        elapsed = time.perf_counter() - started
+        print(
+            f"stream: {total_events} events in {elapsed:.2f}s "
+            f"({total_events / max(elapsed, 1e-9):.0f} events/s), "
+            f"{adapter.total_dropped} adapter drops"
+        )
+        print(
+            f"refresh: {stats.publishes} publishes ({stats.published_slots} slots), "
+            f"final version {system.store.version}, "
+            f"max publish lag {stats.max_publish_lag_s:.0f}s (event time), "
+            f"{stats.backpressure_waits} backpressure waits"
+        )
+        print(f"serve: {served}/{len(tickets)} concurrent queries answered")
         _hold_admin(args)
     finally:
         _stop_admin(admin)

@@ -52,6 +52,7 @@ from repro.errors import (
     ConvergenceError,
     ConvergenceWarning,
     ModelError,
+    warn_deprecated_once,
 )
 from repro.core.rtf import RTFSlot, params_signature
 from repro.network.graph import TrafficNetwork
@@ -87,45 +88,40 @@ class GSPKernel(str, enum.Enum):
 
 
 class PrecisionPolicy(str, enum.Enum):
-    """Numeric precision of the propagation sweep.
+    """The deprecated precision spelling of a propagation request.
 
-    The **tolerance contract**: ``FLOAT64`` is the reference precision —
-    every differential test and the batched/coalesced serving paths are
-    bit-identical under it.  ``FLOAT32`` is an opt-in speed/memory mode
-    for the vectorized kernel: the sweep state and folded parameters are
-    cast down once, sweeps run in single precision, and the returned
-    field is upcast with observed roads re-clamped to their exact probed
-    values.  Non-observed roads are guaranteed within
-    :attr:`field_rtol` relative divergence of the float64 field on
-    converged runs (enforced by ``tests/test_precision.py``); selections
-    and everything upstream of GSP are precision-independent.
+    GSP always sweeps in float64.  ``FLOAT64`` is the default and
+    changes nothing.  ``FLOAT32`` is deprecated (removal in v3.0; it
+    warns once per process): it keeps only its schedule effect — an
+    ``AUTO``-kernel config on a non-vectorizable schedule runs
+    ``BFS_PARALLEL`` (see :class:`GSPConfig`) — which
+    ``GSPConfig(schedule=GSPSchedule.BFS_PARALLEL)`` spells directly.
     """
 
     FLOAT64 = "float64"
     FLOAT32 = "float32"
 
-    @property
-    def dtype(self) -> "np.dtype":
-        """The numpy dtype sweeps run in."""
-        return np.dtype(np.float32 if self is PrecisionPolicy.FLOAT32 else np.float64)
-
-    @property
-    def field_rtol(self) -> float:
-        """Documented relative divergence bound vs the float64 field."""
-        return 5e-4 if self is PrecisionPolicy.FLOAT32 else 0.0
-
     @classmethod
     def coerce(cls, value: "str | PrecisionPolicy") -> "PrecisionPolicy":
         """Accept a policy or its string spelling (``"float32"``)."""
-        if isinstance(value, cls):
-            return value
         try:
-            return cls(str(value))
+            policy = cls(value)
         except ValueError:
             raise ModelError(
                 f"unknown precision {value!r}; expected one of "
                 f"{sorted(p.value for p in cls)}"
             ) from None
+        if policy is cls.FLOAT32:
+            warn_deprecated_once(
+                "precision.float32",
+                'precision="float32" is deprecated and will be removed in '
+                "v3.0: GSP always sweeps in float64, and the spelling only "
+                "moves an AUTO-kernel config off a non-vectorizable schedule "
+                "to BFS_PARALLEL; pass "
+                "gsp_config=GSPConfig(schedule=GSPSchedule.BFS_PARALLEL) to "
+                "answer_query or ServeConfig instead",
+            )
+        return policy
 
 
 #: Schedules whose group updates commute, so the vectorized kernel's
@@ -185,9 +181,10 @@ class GSPConfig:
         strict: Raise :class:`ConvergenceError` when the sweep budget is
             exhausted (default: return the last iterate).
         seed: RNG seed for the RANDOM schedule.
-        precision: Sweep precision; see :class:`PrecisionPolicy`.
-            ``FLOAT32`` requires the vectorized kernel (use
-            :meth:`with_precision` to adjust the schedule when needed).
+        precision: Deprecated spelling; see :class:`PrecisionPolicy`.
+            Sweeps always run in float64.  ``FLOAT32`` moves an
+            ``AUTO``-kernel config on a non-vectorizable schedule to
+            ``BFS_PARALLEL``; any other config runs as given.
     """
 
     epsilon: float = 1e-3
@@ -203,37 +200,20 @@ class GSPConfig:
             raise ModelError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_sweeps <= 0:
             raise ModelError(f"max_sweeps must be positive, got {self.max_sweeps}")
-        object.__setattr__(self, "precision", PrecisionPolicy.coerce(self.precision))
+        precision = PrecisionPolicy.coerce(self.precision)
+        object.__setattr__(self, "precision", precision)
+        if (
+            precision is PrecisionPolicy.FLOAT32
+            and self.kernel is GSPKernel.AUTO
+            and self.schedule not in VECTORIZABLE_SCHEDULES
+        ):
+            object.__setattr__(self, "schedule", GSPSchedule.BFS_PARALLEL)
 
     def with_precision(self, precision: "str | PrecisionPolicy") -> "GSPConfig":
-        """This config adjusted to run under ``precision``.
-
-        ``FLOAT32`` only runs on the vectorized kernel; when the current
-        schedule is not vectorizable and the kernel is ``AUTO``, the
-        schedule is upgraded to ``BFS_PARALLEL`` (an explicitly
-        ``REFERENCE`` kernel raises :class:`ModelError` instead).
-        """
+        """This config under the (deprecated) ``precision`` spelling."""
         from dataclasses import replace
 
-        policy = PrecisionPolicy.coerce(precision)
-        if policy is PrecisionPolicy.FLOAT64:
-            return replace(self, precision=policy)
-        if self.schedule in VECTORIZABLE_SCHEDULES:
-            if self.kernel is GSPKernel.REFERENCE:
-                raise ModelError(
-                    "float32 precision requires the vectorized kernel; "
-                    "the reference kernel is float64-only"
-                )
-            return replace(self, precision=policy)
-        if self.kernel is not GSPKernel.AUTO:
-            raise ModelError(
-                "float32 precision requires a vectorizable schedule "
-                f"({sorted(s.value for s in VECTORIZABLE_SCHEDULES)}); "
-                f"got {self.schedule.value!r} with kernel {self.kernel.value!r}"
-            )
-        return replace(
-            self, precision=policy, schedule=GSPSchedule.BFS_PARALLEL
-        )
+        return replace(self, precision=PrecisionPolicy.coerce(precision))
 
     def resolved_kernel(self) -> GSPKernel:
         """The concrete kernel AUTO resolves to for this schedule."""
@@ -375,13 +355,10 @@ class CompiledSchedule:
         schedule: The ordering this compilation realizes.
         groups: Fused-update groups, swept in order (layers for
             ``BFS_PARALLEL``, colour groups for ``BFS_COLORED``).
-        node_groups: The same groups as plain index lists, for the
-            reference kernel.
     """
 
     schedule: GSPSchedule
     groups: Tuple[_GroupKernel, ...]
-    node_groups: Tuple[Tuple[int, ...], ...]
 
 
 def build_propagation_structure(
@@ -633,7 +610,6 @@ class GSPEngine:
         compiled = CompiledSchedule(
             schedule=schedule,
             groups=_compile_groups(structure.indptr, node_groups),
-            node_groups=tuple(tuple(int(i) for i in g) for g in node_groups),
         )
         with self._lock:
             self._schedules[key] = compiled
@@ -675,7 +651,7 @@ class GSPEngine:
 
         Raises:
             ModelError: On index/shape problems or an impossible
-                kernel/schedule/precision combination.
+                kernel/schedule combination.
             ConvergenceError: In ``strict`` mode when ε is not reached.
 
         Warns:
@@ -685,11 +661,6 @@ class GSPEngine:
         """
         cfg = config or GSPConfig()
         kernel = cfg.resolved_kernel()
-        if cfg.precision is PrecisionPolicy.FLOAT32 and kernel is not GSPKernel.VECTORIZED:
-            raise ModelError(
-                "float32 precision requires the vectorized kernel "
-                "(see GSPConfig.with_precision)"
-            )
         params.check_against(self._network)
         n = self._network.n_roads
         for road, value in observed.items():
@@ -753,12 +724,6 @@ class GSPEngine:
                 speeds, sweeps, converged, history = _vectorized_sweeps(
                     structure, compiled, speeds, cfg
                 )
-                if cfg.precision is PrecisionPolicy.FLOAT32:
-                    # Upcast and re-clamp: observed roads keep their exact
-                    # probed values regardless of the sweep precision.
-                    speeds = speeds.astype(np.float64)
-                    for road, value in observed.items():
-                        speeds[road] = float(value)
             else:
                 structure_hit = schedule_hit = False
                 speeds, sweeps, converged, history = _reference_sweeps(
@@ -860,22 +825,17 @@ def _vectorized_sweeps(
 ) -> Tuple[np.ndarray, int, bool, List[float]]:
     """Fused group updates until ε-convergence (Eq. 18, whole groups)."""
     # Gather the per-group parameter slices once per call; only the
-    # neighbour-value gather remains inside the sweep loop.  Under the
-    # FLOAT32 policy the folded parameters and the iterate are cast down
-    # once here and the whole sweep runs single-precision.
-    dtype = cfg.precision.dtype
-    if speeds.dtype != dtype:
-        speeds = speeds.astype(dtype)
+    # neighbour-value gather remains inside the sweep loop.
     prepared = []
     for group in compiled.groups:
         prepared.append(
             (
                 group.nodes,
                 structure.indices[group.flat],
-                structure.weights[group.flat].astype(dtype, copy=False),
+                structure.weights[group.flat],
                 group.owner,
-                structure.const_pull[group.nodes].astype(dtype, copy=False),
-                structure.denom[group.nodes].astype(dtype, copy=False),
+                structure.const_pull[group.nodes],
+                structure.denom[group.nodes],
                 group.nodes.size,
             )
         )

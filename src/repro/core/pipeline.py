@@ -446,9 +446,9 @@ class CrowdRTSE:
                 ``market`` is unset.
             truth: Ground-truth oracle the (simulated) workers measure;
                 fills a request whose ``truth`` is unset.
-            gsp_config: Propagation knobs; the request's ``precision``
-                is applied on top via
-                :meth:`~repro.core.gsp.GSPConfig.with_precision`.
+            gsp_config: Propagation knobs; a (deprecated) ``float32``
+                request precision is applied on top via
+                :meth:`resolve_gsp_config`.
             snapshot: Pre-pinned model version to serve from.  The
                 serving layer pins one snapshot per worker batch and
                 passes it here; direct callers leave it ``None`` and the
@@ -546,9 +546,10 @@ class CrowdRTSE:
         """The effective propagation config under a request's precision.
 
         ``float64`` leaves ``gsp_config`` untouched (including ``None``
-        → engine default), so the reference path stays bit-identical;
-        any other policy is applied via
-        :meth:`~repro.core.gsp.GSPConfig.with_precision`.
+        → engine default).  The deprecated ``float32`` is applied via
+        :meth:`~repro.core.gsp.GSPConfig.with_precision`: the sweep
+        stays float64, and an ``AUTO``-kernel config on a
+        non-vectorizable schedule runs ``BFS_PARALLEL``.
         """
         policy = PrecisionPolicy.coerce(precision)
         if policy is PrecisionPolicy.FLOAT64:

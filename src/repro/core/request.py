@@ -9,10 +9,9 @@ before admission rather than on a serving worker.
 
 The request also carries two per-query latency knobs:
 
-* ``precision`` — the GSP sweep precision
-  (:class:`~repro.core.gsp.PrecisionPolicy` spelling; ``"float64"`` is
-  the bit-exact reference, ``"float32"`` the opt-in fast mode with a
-  documented tolerance contract);
+* ``precision`` — ``"float64"`` (default); ``"float32"`` is deprecated
+  and only moves the default ``BFS`` schedule to ``BFS_PARALLEL`` (GSP
+  always sweeps in float64; see :class:`~repro.core.gsp.PrecisionPolicy`);
 * ``warm_start`` — seed the propagation from the previous converged
   field of the same ``(parameter digest, R^c)`` pair when one is cached
   (:meth:`~repro.core.store.ModelSnapshot.warm_field`).  Warm-started
@@ -60,10 +59,11 @@ class EstimationRequest:
             with same-slot neighbours.
         backend: Estimator backend that turns the probes into the speed
             field (``"rtf_gsp"`` is the paper's GSP pipeline).
-        precision: GSP sweep precision, ``"float64"`` (reference) or
-            ``"float32"`` (opt-in; see
-            :class:`~repro.core.gsp.PrecisionPolicy` for the tolerance
-            contract).
+        precision: ``"float64"`` (default) or the deprecated
+            ``"float32"``, which warns once per process and moves the
+            default ``BFS`` schedule to ``BFS_PARALLEL``; the sweep is
+            float64 either way (see
+            :class:`~repro.core.gsp.PrecisionPolicy`).
         warm_start: Seed GSP from the previous converged field of the
             same ``(parameter digest, R^c)`` when cached.  Converges to
             the same fixed point within ε, not bit-identically.

@@ -80,8 +80,9 @@ def write_snapshot(
         path: Destination file (overwritten).
         model: The fitted parameters to persist.
         include_propagation: Also persist each slot's derived GSP
-            precision arrays so :func:`load_store` can seed the
-            artifact cache without re-deriving them.
+            precision arrays (read back with
+            :meth:`SnapshotFile.propagation_arrays`; :func:`load_store`
+            does not need them).
 
     Raises:
         ModelError: When the destination cannot be written.
@@ -372,13 +373,16 @@ def load_store(
 ) -> ModelStore:
     """Cold-start a :class:`ModelStore` from a snapshot file.
 
-    Three savings over ``RTFModel.load`` + ``ModelStore(...)``:
+    Two savings over ``RTFModel.load`` + ``ModelStore(...)``:
 
     * parameter arrays are read-only mmap views (no decompress/copy);
     * the store adopts the file's per-slot digests instead of re-hashing
-      every parameter array;
-    * persisted propagation arrays are seeded into the artifact cache,
-      so the first GSP propagation skips its derivation too.
+      every parameter array.
+
+    Persisted propagation arrays are left in the file: GSP compiles its
+    CSR structure from the slot parameters
+    (:meth:`~repro.core.gsp.GSPEngine.structure_for`), so nothing on the
+    serving path would read them from the artifact cache.
 
     Raises:
         ModelError: On any corruption or a network mismatch.
@@ -389,9 +393,6 @@ def load_store(
     store = ModelStore(
         model, path_mode, max_artifacts, digests=dict(snapshot.digests)
     )
-    if snapshot.has_propagation:
-        for t in snapshot.slots:
-            store.seed_propagation(snapshot.digests[t], snapshot.propagation_arrays(t))
     elapsed = time.perf_counter() - start
     metrics = get_metrics()
     if metrics.enabled:

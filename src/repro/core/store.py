@@ -388,8 +388,10 @@ class ModelSnapshot:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The slot's GSP precision arrays, derived on first use.
 
-        Same cache discipline as :meth:`correlation_matrix`; the GSP
-        engine keeps its own digest-keyed CSR compilation on top.
+        Same cache discipline as :meth:`correlation_matrix`.  The serving
+        path does not read them: the GSP engine compiles its own
+        digest-keyed CSR structure from
+        :meth:`~repro.core.rtf.RTFSlot.propagation_arrays`.
         """
         params = self.slot(slot)
         return self._artifacts.get_or_derive(
@@ -809,9 +811,10 @@ class ModelStore:
     ) -> None:
         """Warm the artifact cache with precomputed propagation arrays.
 
-        Used by :func:`repro.core.snapshot_io.load_store` so the first
-        GSP propagation after a cold start reads the persisted arrays
-        (typically mmap views) instead of re-deriving them.
+        :meth:`ModelSnapshot.propagation_arrays` then returns these
+        arrays (e.g. mmap views from
+        :meth:`~repro.core.snapshot_io.SnapshotFile.propagation_arrays`)
+        instead of re-deriving them.
         """
         if len(arrays) != 4:
             raise ModelError(

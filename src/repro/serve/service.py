@@ -53,6 +53,7 @@ from repro.errors import (
     QueryTimeoutError,
     ReproError,
     ServeError,
+    warn_deprecated_once,
 )
 from repro.baselines.periodic import periodic_field
 from repro.core.gsp import GSPConfig
@@ -128,9 +129,10 @@ class ServeConfig:
         degrade_margin_s: Skip the full pipeline and degrade immediately
             when less than this much budget remains at pickup — the
             pipeline would not finish in time anyway.
-        serialize_probes: Hold a service-wide lock around OCS + probing
-            so a market shared between requests (one RNG, one worker
-            pool) is never driven from two threads at once.  The
+        serialize_probes: Deprecated (removal in v3.0) and ignored: the
+            service always holds one service-wide lock around OCS +
+            probing, so a market shared between requests (one RNG, one
+            worker pool) is never driven from two threads at once.  The
             estimator (GSP or a backend) always runs outside the lock.
         gsp_config: Propagation knobs applied to every served query.
         shed_on_failing: Pre-emptive load shedding: when an installed
@@ -174,6 +176,14 @@ class ServeConfig:
             raise ServeError(
                 "ServeConfig.shadow_backend cannot be 'rtf_gsp': that is the "
                 "served path itself; name an attached challenger backend"
+            )
+        if not self.serialize_probes:
+            warn_deprecated_once(
+                "ServeConfig.serialize_probes",
+                "ServeConfig(serialize_probes=False) is deprecated, ignored, "
+                "and the option will be removed in v3.0: the service always "
+                "serializes OCS + probing on its shared markets",
+                stacklevel=4,
             )
 
 
@@ -585,9 +595,7 @@ class QueryService:
                     gsp_config=self._config.gsp_config,
                     snapshot=snapshot,
                     deadline=leader.deadline,
-                    probe_lock=(
-                        self._probe_lock if self._config.serialize_probes else None
-                    ),
+                    probe_lock=self._probe_lock,
                 )
             except QueryTimeoutError as exc:
                 self._finish_timeout(tickets, snapshot, exc)

@@ -6,7 +6,7 @@ A workload trace is JSON-lines, one
     {"slot": 93, "queried": [3, 7, 11], "budget": 20}
     {"slot": 94, "queried": [3, 7, 11], "budget": 20, "day": 1,
      "theta": 0.9, "selector": "hybrid", "deadline_s": 0.25,
-     "precision": "float32", "warm_start": true}
+     "warm_start": true}
 
 ``repro serve --requests trace.jsonl`` replays such a trace through a
 :class:`~repro.serve.service.QueryService` and reports latency
@@ -16,7 +16,9 @@ same roads in the same slot — exactly what coalescing exploits).
 
 Values must carry their JSON type: a string where a number, list or
 boolean belongs (``"queried": "37"``, ``"warm_start": "false"``) or a
-fractional slot is rejected rather than coerced.
+fractional slot is rejected rather than coerced.  The ``"precision"``
+key is read for v2 compatibility; its ``"float32"`` value is deprecated
+(see :class:`~repro.core.gsp.PrecisionPolicy`).
 """
 
 from __future__ import annotations

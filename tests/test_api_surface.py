@@ -7,6 +7,7 @@ any rename, removal, or signature change that was not accompanied by a
 regeneration of the golden file.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,11 @@ class TestSurfaceGolden:
 
 
 class TestFacadeContract:
+    def test_version_matches_pyproject(self):
+        text = (REPO_ROOT / "pyproject.toml").read_text()
+        versions = re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+        assert versions == [repro.__version__]
+
     def test_all_names_resolve(self):
         missing = [n for n in repro.__all__ if not hasattr(repro, n)]
         assert missing == []

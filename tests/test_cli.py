@@ -156,6 +156,32 @@ SERVE_COMMON = [
 ]
 
 
+class TestStreamCommand:
+    def test_replay_failure_stops_admin_endpoint(self, monkeypatch):
+        """A replay that raises still stops the admin endpoint it started."""
+        from repro import obs
+        from repro.obs import health as obs_health
+        from repro.stream import StreamRefresher
+
+        def broken_ingest(self, batch):
+            raise RuntimeError("feed broke")
+
+        monkeypatch.setattr(StreamRefresher, "ingest", broken_ingest)
+        args = build_parser().parse_args(
+            ["stream", "--days", "1", "--queries", "1", "--admin-port", "0"]
+        )
+        metrics_on = obs.get_metrics().enabled
+        tracing_on = obs.get_tracer().enabled
+        try:
+            with pytest.raises(RuntimeError, match="feed broke"):
+                args.func(args)
+            assert obs_health.get_monitor() is None
+        finally:
+            obs_health.uninstall()
+            obs.configure(metrics=metrics_on, tracing=tracing_on)
+            obs.reset()
+
+
 class TestServeCommand:
     def test_synthesized_workload_reports_percentiles(self, capsys):
         code = main(["serve", *SERVE_COMMON, "--n-requests", "16",

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.errors import reset_deprecation_warnings
 from repro.serve import EstimationRequest, QueryService, ServeConfig
 
 
@@ -189,7 +190,7 @@ class TestServeUnderRefresh:
 
 
 class TestProbeLockScope:
-    """With ``serialize_probes`` the probe lock covers OCS + probing only.
+    """The service's probe lock covers OCS + probing only.
 
     The estimator must run with the lock free however the batch is
     shaped: a one-request batch once ran the whole pipeline under the
@@ -237,6 +238,33 @@ class TestProbeLockScope:
         service.close()
         assert not any(result.degraded for result in results)
         assert lock_held == [False] * n_buckets
+
+    def test_serialize_probes_false_is_deprecated_and_ignored(
+        self, system, world, monkeypatch
+    ):
+        reset_deprecation_warnings("ServeConfig.serialize_probes")
+        with pytest.warns(DeprecationWarning, match="serialize_probes.*v3.0"):
+            config = ServeConfig(num_workers=1, serialize_probes=False)
+        service = QueryService(system, config=config, autostart=False)
+        held: Dict[str, List[bool]] = {"probe": [], "gsp": []}
+
+        def spy(target, method, stage):
+            original = getattr(target, method)
+
+            def wrapper(*args, **kwargs):
+                held[stage].append(service._probe_lock.locked())
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(target, method, wrapper)
+
+        spy(system, "_select_and_probe", "probe")
+        spy(system.gsp_engine, "propagate", "gsp")
+        ticket = service.submit(_request(world, seed=0))
+        service.start()
+        result = ticket.result(timeout=60)
+        service.close()
+        assert not result.degraded
+        assert held == {"probe": [True], "gsp": [False]}
 
 
 class TestBatchPartition:
